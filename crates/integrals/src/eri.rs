@@ -1,18 +1,26 @@
 //! Two-electron repulsion integrals `(ab|cd)` (chemists' notation) over
-//! contracted Cartesian shells, via McMurchie–Davidson:
+//! contracted Cartesian shells, via McMurchie–Davidson in two steps:
 //!
-//! `(ab|cd) = Σ_prims c⁴ · 2π^{5/2}/(pq√(p+q)) · Σ_{tuv} E^{ab}_{tuv}
-//!            Σ_{τνφ} (−1)^{τ+ν+φ} E^{cd}_{τνφ} R_{t+τ,u+ν,v+φ}(α, P−Q)`
+//! `W^{cd}_{tuv}(bra prim) = Σ_{ket prims} 2π^{5/2}/(pq√(p+q))
+//!                           Σ_{τνφ} (−1)^{τ+ν+φ} E^{cd}_{τνφ} R_{t+τ,u+ν,v+φ}(α, P−Q)`
+//! `(ab|cd) = Σ_{bra prims} Σ_{tuv} E^{ab}_{tuv} W^{cd}_{tuv}`
 //!
 //! with `p`, `q` the bra/ket total exponents and `α = pq/(p+q)`.
 //!
-//! The engine precomputes, per ordered shell pair and primitive pair, the
-//! Hermite `E` tables and the Gaussian product prefactor — the quartet
-//! loop then only evaluates the `R_{tuv}` auxiliaries (into reusable
-//! scratch) and the contraction sums. Primitive quartets whose prefactor
-//! product is below `PRIM_SCREEN` are skipped.
+//! The engine precomputes, per ordered shell pair, a flat table of
+//! `c_a·c_b·E_t E_u E_v` per primitive pair and per *term*: the Hermite
+//! functions `(t,u,v)` in each component pair's box `t ≤ a_x+b_x`, … that
+//! are nonzero for some primitive pair. Per primitive quartet the engine
+//! fills `R_{tuv}` on the triangle `t+u+v ≤ L` (`L` the quartet's total
+//! angular momentum, Boys to order `L` only) and adds the ket terms into
+//! the intermediate `W[row][cd]`; per bra primitive pair one dot product
+//! per (bra, ket) component pair finishes the block. `R` lives in a cube of
+//! fixed stride `4·lmax + 1`, so `R_{t+τ,u+ν,v+φ}` is read at the sum of a
+//! bra row offset and a ket term offset, both precomputed. A quartet
+//! allocates nothing once its [`EriScratch`] has grown. Primitive quartets
+//! whose prefactor product is below `PRIM_SCREEN` are skipped.
 
-use crate::hermite::{hermite_aux_into, AuxScratch, ECoefs};
+use crate::hermite::{hermite_aux_tri_into, AuxScratch, ECoefs};
 use liair_basis::shell::{cart_components, ncart};
 use liair_basis::Basis;
 use liair_math::{Mat, Vec3};
@@ -26,81 +34,154 @@ pub const PRIM_SCREEN: f64 = 1e-16;
 /// Precomputed data for one primitive pair of an ordered shell pair.
 #[derive(Debug, Clone)]
 struct PrimPair {
-    /// Primitive indices within the two shells.
-    ia: usize,
-    ib: usize,
     /// Total exponent `p = a + b`.
     p: f64,
     /// Gaussian product center.
     big_p: Vec3,
-    /// Hermite tables per axis.
-    ex: ECoefs,
-    ey: ECoefs,
-    ez: ECoefs,
     /// `exp(−μ|AB|²)` prefactor used for primitive screening.
     screen: f64,
+}
+
+/// Hermite tables of one ordered shell pair, usable as bra or as ket.
+#[derive(Debug, Clone)]
+struct ShellPair {
+    /// `la + lb`.
+    l: usize,
+    /// `R`-cube offsets of the Hermite functions the terms use; as bra, one
+    /// row of `W` each.
+    rows: Vec<u32>,
+    /// The terms of component pair `i` (`i = ca·nb + cb`) are
+    /// `start[i]..start[i + 1]`.
+    start: Vec<u32>,
+    /// Per term: its Hermite function, as an index into `rows`.
+    row: Vec<u32>,
+    /// Per term: `(−1)^{t+u+v}`, applied in the ket role.
+    sign: Vec<f64>,
+    prims: Vec<PrimPair>,
+    /// `c_a·c_b·E_t E_u E_v` flattened `[prim pair][term]`.
+    coefs: Vec<f64>,
+}
+
+impl ShellPair {
+    fn new(basis: &Basis, sa: usize, sb: usize, stride: usize) -> Self {
+        let (sha, shb) = (&basis.shells[sa], &basis.shells[sb]);
+        let d = sha.center - shb.center;
+        let (comps_a, comps_b) = (cart_components(sha.l), cart_components(shb.l));
+        let norm_a: Vec<Vec<f64>> = comps_a.iter().map(|&c| sha.normalized_coefs(c)).collect();
+        let norm_b: Vec<Vec<f64>> = comps_b.iter().map(|&c| shb.normalized_coefs(c)).collect();
+        let mut prims = Vec::with_capacity(sha.prims.len() * shb.prims.len());
+        let mut tables = Vec::with_capacity(prims.capacity());
+        for pa in &sha.prims {
+            for pb in &shb.prims {
+                let (a, b) = (pa.exp, pb.exp);
+                let p = a + b;
+                prims.push(PrimPair {
+                    p,
+                    big_p: (sha.center * a + shb.center * b) / p,
+                    screen: (-(a * b / p) * d.norm_sqr()).exp(),
+                });
+                tables.push([
+                    ECoefs::new(sha.l, shb.l, d.x, a, b),
+                    ECoefs::new(sha.l, shb.l, d.y, a, b),
+                    ECoefs::new(sha.l, shb.l, d.z, a, b),
+                ]);
+            }
+        }
+        let nprim_b = shb.prims.len();
+        // Candidate terms: every (component pair, Hermite box point) with its
+        // value per primitive pair; the all-zero ones (odd terms of
+        // same-center pairs) are dropped.
+        let mut start = vec![0u32];
+        let mut herm: Vec<(usize, usize, usize)> = Vec::new();
+        let mut values: Vec<Vec<f64>> = Vec::new();
+        for (ca, &(ax, ay, az)) in comps_a.iter().enumerate() {
+            for (cb, &(bx, by, bz)) in comps_b.iter().enumerate() {
+                for t in 0..=(ax + bx) {
+                    for u in 0..=(ay + by) {
+                        for v in 0..=(az + bz) {
+                            let vals: Vec<f64> = tables
+                                .iter()
+                                .enumerate()
+                                .map(|(k, [ex, ey, ez])| {
+                                    norm_a[ca][k / nprim_b]
+                                        * norm_b[cb][k % nprim_b]
+                                        * ex.get(ax, bx, t)
+                                        * ey.get(ay, by, u)
+                                        * ez.get(az, bz, v)
+                                })
+                                .collect();
+                            if vals.iter().any(|&x| x != 0.0) {
+                                herm.push((t, u, v));
+                                values.push(vals);
+                            }
+                        }
+                    }
+                }
+                start.push(herm.len() as u32);
+            }
+        }
+        let cube = |(t, u, v): (usize, usize, usize)| ((t * stride + u) * stride + v) as u32;
+        let mut rows: Vec<u32> = herm.iter().map(|&h| cube(h)).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let row = herm
+            .iter()
+            .map(|&h| rows.binary_search(&cube(h)).expect("row of a term") as u32)
+            .collect();
+        let sign = herm
+            .iter()
+            .map(|&(t, u, v)| if (t + u + v) % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        let nterms = herm.len();
+        let mut coefs = vec![0.0; prims.len() * nterms];
+        for (term, vals) in values.iter().enumerate() {
+            for (k, &x) in vals.iter().enumerate() {
+                coefs[k * nterms + term] = x;
+            }
+        }
+        Self {
+            l: sha.l + shb.l,
+            rows,
+            start,
+            row,
+            sign,
+            prims,
+            coefs,
+        }
+    }
 }
 
 /// Reusable per-thread scratch for quartet evaluation.
 #[derive(Debug, Default, Clone)]
 pub struct EriScratch {
     aux: AuxScratch,
+    /// Ket intermediate `W`, flattened `[bra row][ket component pair]`.
+    w: Vec<f64>,
 }
 
 /// Precomputed engine over a basis.
 pub struct EriEngine<'a> {
     basis: &'a Basis,
-    /// Normalized contraction coefficients per (shell, component, prim).
-    coefs: Vec<Vec<Vec<f64>>>,
-    /// Primitive-pair tables per ordered shell pair `[sa * nsh + sb]`.
-    pairs: Vec<Vec<PrimPair>>,
+    /// Stride of the `R` cube: one more than the highest quartet degree.
+    stride: usize,
+    /// Hermite tables per ordered shell pair `[sa * nsh + sb]`.
+    pairs: Vec<ShellPair>,
 }
 
 impl<'a> EriEngine<'a> {
-    /// Prepare the engine: normalization plus all shell-pair Hermite
-    /// tables (O(nsh²·nprim²) setup amortized over O(nsh⁴) quartets).
+    /// Prepare the engine: all shell-pair Hermite tables (O(nsh²·nprim²)
+    /// setup amortized over O(nsh⁴) quartets).
     pub fn new(basis: &'a Basis) -> Self {
-        let coefs: Vec<Vec<Vec<f64>>> = basis
-            .shells
-            .iter()
-            .map(|sh| {
-                cart_components(sh.l)
-                    .into_iter()
-                    .map(|powers| sh.normalized_coefs(powers))
-                    .collect()
-            })
-            .collect();
         let nsh = basis.shells.len();
-        let pairs: Vec<Vec<PrimPair>> = (0..nsh * nsh)
+        let lmax = basis.shells.iter().map(|sh| sh.l).max().unwrap_or(0);
+        let stride = 4 * lmax + 1;
+        let pairs = (0..nsh * nsh)
             .into_par_iter()
-            .map(|idx| {
-                let (sa, sb) = (idx / nsh, idx % nsh);
-                let (sha, shb) = (&basis.shells[sa], &basis.shells[sb]);
-                let d = sha.center - shb.center;
-                let mut out = Vec::with_capacity(sha.prims.len() * shb.prims.len());
-                for (ia, pa) in sha.prims.iter().enumerate() {
-                    for (ib, pb) in shb.prims.iter().enumerate() {
-                        let (a, b) = (pa.exp, pb.exp);
-                        let p = a + b;
-                        let mu = a * b / p;
-                        out.push(PrimPair {
-                            ia,
-                            ib,
-                            p,
-                            big_p: (sha.center * a + shb.center * b) / p,
-                            ex: ECoefs::new(sha.l, shb.l, d.x, a, b),
-                            ey: ECoefs::new(sha.l, shb.l, d.y, a, b),
-                            ez: ECoefs::new(sha.l, shb.l, d.z, a, b),
-                            screen: (-mu * d.norm_sqr()).exp(),
-                        });
-                    }
-                }
-                out
-            })
+            .map(|idx| ShellPair::new(basis, idx / nsh, idx % nsh, stride))
             .collect();
         Self {
             basis,
-            coefs,
+            stride,
             pairs,
         }
     }
@@ -122,101 +203,58 @@ impl<'a> EriEngine<'a> {
         out: &mut Vec<f64>,
     ) {
         let nsh = self.basis.shells.len();
-        let (la, lb, lc, ld) = (
-            self.basis.shells[sa].l,
-            self.basis.shells[sb].l,
-            self.basis.shells[sc].l,
-            self.basis.shells[sd].l,
-        );
-        let (na, nb, nc, nd) = (ncart(la), ncart(lb), ncart(lc), ncart(ld));
-        let comps_a = cart_components(la);
-        let comps_b = cart_components(lb);
-        let comps_c = cart_components(lc);
-        let comps_d = cart_components(ld);
+        let bra = &self.pairs[sa * nsh + sb];
+        let ket = &self.pairs[sc * nsh + sd];
+        let (nab, ncd) = (bra.start.len() - 1, ket.start.len() - 1);
+        let (nbt, nkt) = (bra.row.len(), ket.row.len());
+        let nrows = bra.rows.len();
+        let l = bra.l + ket.l;
+        let two_pi_52 = 2.0 * PI.powf(2.5);
         out.clear();
-        out.resize(na * nb * nc * nd, 0.0);
-        let tdim = la + lb + lc + ld;
-        let at = |t: usize, u: usize, v: usize| (t * (tdim + 1) + u) * (tdim + 1) + v;
+        out.resize(nab * ncd, 0.0);
+        let w = &mut scratch.w;
 
-        for bra in &self.pairs[sa * nsh + sb] {
-            for ket in &self.pairs[sc * nsh + sd] {
-                if bra.screen * ket.screen < PRIM_SCREEN {
+        for (ip, bp) in bra.prims.iter().enumerate() {
+            w.clear();
+            w.resize(nrows * ncd, 0.0);
+            let mut any = false;
+            for (iq, kp) in ket.prims.iter().enumerate() {
+                if bp.screen * kp.screen < PRIM_SCREEN {
                     continue;
                 }
-                let (p, q) = (bra.p, ket.p);
-                let alpha = p * q / (p + q);
-                hermite_aux_into(
-                    tdim,
-                    tdim,
-                    tdim,
-                    alpha,
-                    bra.big_p - ket.big_p,
+                any = true;
+                let (p, q) = (bp.p, kp.p);
+                let pref = two_pi_52 / (p * q * (p + q).sqrt());
+                hermite_aux_tri_into(
+                    l,
+                    p * q / (p + q),
+                    bp.big_p - kp.big_p,
+                    pref,
+                    self.stride,
                     &mut scratch.aux,
                 );
-                let aux = &scratch.aux.cur;
-                let pref = 2.0 * PI.powf(2.5) / (p * q * (p + q).sqrt());
-
-                for (ca, &pa) in comps_a.iter().enumerate() {
-                    for (cb, &pb) in comps_b.iter().enumerate() {
-                        for (cc, &pc) in comps_c.iter().enumerate() {
-                            for (cdx, &pd) in comps_d.iter().enumerate() {
-                                let coef = self.coefs[sa][ca][bra.ia]
-                                    * self.coefs[sb][cb][bra.ib]
-                                    * self.coefs[sc][cc][ket.ia]
-                                    * self.coefs[sd][cdx][ket.ib];
-                                let mut val = 0.0;
-                                for t in 0..=(pa.0 + pb.0) {
-                                    let etx = bra.ex.get(pa.0, pb.0, t);
-                                    if etx == 0.0 {
-                                        continue;
-                                    }
-                                    for u in 0..=(pa.1 + pb.1) {
-                                        let euy = bra.ey.get(pa.1, pb.1, u);
-                                        if euy == 0.0 {
-                                            continue;
-                                        }
-                                        for v in 0..=(pa.2 + pb.2) {
-                                            let evz = bra.ez.get(pa.2, pb.2, v);
-                                            if evz == 0.0 {
-                                                continue;
-                                            }
-                                            let ebra = etx * euy * evz;
-                                            for tau in 0..=(pc.0 + pd.0) {
-                                                let etc = ket.ex.get(pc.0, pd.0, tau);
-                                                if etc == 0.0 {
-                                                    continue;
-                                                }
-                                                for nu in 0..=(pc.1 + pd.1) {
-                                                    let euc = ket.ey.get(pc.1, pd.1, nu);
-                                                    if euc == 0.0 {
-                                                        continue;
-                                                    }
-                                                    for ph in 0..=(pc.2 + pd.2) {
-                                                        let evc = ket.ez.get(pc.2, pd.2, ph);
-                                                        if evc == 0.0 {
-                                                            continue;
-                                                        }
-                                                        let sign = if (tau + nu + ph) % 2 == 0 {
-                                                            1.0
-                                                        } else {
-                                                            -1.0
-                                                        };
-                                                        val += ebra
-                                                            * sign
-                                                            * etc
-                                                            * euc
-                                                            * evc
-                                                            * aux[at(t + tau, u + nu, v + ph)];
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                let idx = ((ca * nb + cb) * nc + cc) * nd + cdx;
-                                out[idx] += coef * pref * val;
-                            }
+                let r = &scratch.aux.cur;
+                let kc = &ket.coefs[iq * nkt..(iq + 1) * nkt];
+                for cd in 0..ncd {
+                    for k in ket.start[cd] as usize..ket.start[cd + 1] as usize {
+                        let e = ket.sign[k] * kc[k];
+                        let rk = &r[ket.rows[ket.row[k] as usize] as usize..];
+                        for (wr, &off) in w.chunks_exact_mut(ncd).zip(&bra.rows) {
+                            wr[cd] += e * rk[off as usize];
                         }
+                    }
+                }
+            }
+            if !any {
+                continue;
+            }
+            let bc = &bra.coefs[ip * nbt..(ip + 1) * nbt];
+            for (ab, block) in out.chunks_exact_mut(ncd).enumerate() {
+                for k in bra.start[ab] as usize..bra.start[ab + 1] as usize {
+                    let e = bc[k];
+                    let wr = &w[bra.row[k] as usize * ncd..][..ncd];
+                    for (o, &x) in block.iter_mut().zip(wr) {
+                        *o += e * x;
                     }
                 }
             }
@@ -361,8 +399,178 @@ pub fn gaussian_product_prefactor(a: f64, b: f64, ra: Vec3, rb: Vec3) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hermite::hermite_aux;
+    use liair_basis::shell::{Primitive, Shell};
     use liair_basis::systems;
     use liair_math::approx_eq;
+
+    /// The per-component contraction the two-step kernel replaced: every
+    /// component quartet sums `E^{ab}_{tuv} (−1)^{τ+ν+φ} E^{cd}_{τνφ}
+    /// R_{t+τ,u+ν,v+φ}` over full Hermite boxes, with `R` from the box
+    /// recursion. Kept as the reference the kernel is checked against.
+    fn reference_quartet(basis: &Basis, sa: usize, sb: usize, sc: usize, sd: usize) -> Vec<f64> {
+        let shells = [sa, sb, sc, sd].map(|s| &basis.shells[s]);
+        let comps = shells.map(|sh| cart_components(sh.l));
+        let coefs: Vec<Vec<Vec<f64>>> = shells
+            .iter()
+            .zip(&comps)
+            .map(|(sh, cs)| cs.iter().map(|&c| sh.normalized_coefs(c)).collect())
+            .collect();
+        // Per primitive pair: (ia, ib, p, P, [Ex, Ey, Ez]).
+        let prim_pairs = |s1: &Shell, s2: &Shell| {
+            let d = s1.center - s2.center;
+            let mut out = Vec::new();
+            for (ia, pa) in s1.prims.iter().enumerate() {
+                for (ib, pb) in s2.prims.iter().enumerate() {
+                    let (a, b) = (pa.exp, pb.exp);
+                    let p = a + b;
+                    let e = [d.x, d.y, d.z].map(|x| ECoefs::new(s1.l, s2.l, x, a, b));
+                    let screen = (-(a * b / p) * d.norm_sqr()).exp();
+                    out.push((ia, ib, p, (s1.center * a + s2.center * b) / p, e, screen));
+                }
+            }
+            out
+        };
+        let (bras, kets) = (
+            prim_pairs(shells[0], shells[1]),
+            prim_pairs(shells[2], shells[3]),
+        );
+        let n = comps.each_ref().map(|c| c.len());
+        let tdim = shells.iter().map(|sh| sh.l).sum::<usize>();
+        let at = |t: usize, u: usize, v: usize| (t * (tdim + 1) + u) * (tdim + 1) + v;
+        let mut out = vec![0.0; n[0] * n[1] * n[2] * n[3]];
+        for (ia, ib, p, big_p, eb, sb_) in &bras {
+            for (ic, id, q, big_q, ek, sk) in &kets {
+                if sb_ * sk < PRIM_SCREEN {
+                    continue;
+                }
+                let aux = hermite_aux(tdim, tdim, tdim, p * q / (p + q), *big_p - *big_q);
+                let pref = 2.0 * PI.powf(2.5) / (p * q * (p + q).sqrt());
+                for (ca, pa) in comps[0].iter().enumerate() {
+                    for (cb, pb) in comps[1].iter().enumerate() {
+                        for (cc, pc) in comps[2].iter().enumerate() {
+                            for (cd, pd) in comps[3].iter().enumerate() {
+                                let coef = coefs[0][ca][*ia]
+                                    * coefs[1][cb][*ib]
+                                    * coefs[2][cc][*ic]
+                                    * coefs[3][cd][*id];
+                                let mut val = 0.0;
+                                for t in 0..=(pa.0 + pb.0) {
+                                    for u in 0..=(pa.1 + pb.1) {
+                                        for v in 0..=(pa.2 + pb.2) {
+                                            let ebra = eb[0].get(pa.0, pb.0, t)
+                                                * eb[1].get(pa.1, pb.1, u)
+                                                * eb[2].get(pa.2, pb.2, v);
+                                            for tau in 0..=(pc.0 + pd.0) {
+                                                for nu in 0..=(pc.1 + pd.1) {
+                                                    for ph in 0..=(pc.2 + pd.2) {
+                                                        let sign = if (tau + nu + ph) % 2 == 0 {
+                                                            1.0
+                                                        } else {
+                                                            -1.0
+                                                        };
+                                                        val += ebra
+                                                            * sign
+                                                            * ek[0].get(pc.0, pd.0, tau)
+                                                            * ek[1].get(pc.1, pd.1, nu)
+                                                            * ek[2].get(pc.2, pd.2, ph)
+                                                            * aux[at(t + tau, u + nu, v + ph)];
+                                                    }
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                                let idx = ((ca * n[1] + cb) * n[2] + cc) * n[3] + cd;
+                                out[idx] += coef * pref * val;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Every shell quartet of `basis` against [`reference_quartet`].
+    fn assert_matches_reference(basis: &Basis) {
+        let engine = EriEngine::new(basis);
+        let nsh = basis.shells.len();
+        let mut scratch = EriScratch::default();
+        let mut block = Vec::new();
+        for sa in 0..nsh {
+            for sb in 0..nsh {
+                for sc in 0..nsh {
+                    for sd in 0..nsh {
+                        engine.shell_quartet_into(sa, sb, sc, sd, &mut scratch, &mut block);
+                        let want = reference_quartet(basis, sa, sb, sc, sd);
+                        assert_eq!(block.len(), want.len());
+                        for (i, (g, w)) in block.iter().zip(&want).enumerate() {
+                            assert!(
+                                (g - w).abs() <= 1e-12,
+                                "({sa}{sb}|{sc}{sd})[{i}]: {g} vs {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A d shell on a water-like frame: two hand-built `l = 2` shells (one
+    /// contracted, one diffuse primitive) on O and one on an H, so
+    /// `(dd|dd)` quartets reach Hermite degree 8 across three centers.
+    fn d_shell_basis() -> Basis {
+        let mol = systems::water();
+        let mut shells = Basis::sto3g(&mol).shells;
+        let prim = |exp, coef| Primitive { exp, coef };
+        let (o, h) = (mol.atoms[0].pos, mol.atoms[1].pos);
+        shells.push(Shell::new(2, 0, o, vec![prim(2.1, 0.35), prim(0.65, 0.75)]));
+        shells.push(Shell::new(2, 0, o, vec![prim(0.3, 1.0)]));
+        shells.push(Shell::new(2, 1, h, vec![prim(0.9, 1.0)]));
+        Basis::from_shells(shells)
+    }
+
+    #[test]
+    fn kernel_matches_reference_water_sto3g() {
+        assert_matches_reference(&Basis::sto3g(&systems::water()));
+    }
+
+    #[test]
+    fn kernel_matches_reference_li2o2_sto3g() {
+        assert_matches_reference(&Basis::sto3g(&systems::li2o2()));
+    }
+
+    #[test]
+    fn kernel_matches_reference_water_631g() {
+        assert_matches_reference(&Basis::b631g(&systems::water()));
+    }
+
+    #[test]
+    fn kernel_matches_reference_with_d_shells() {
+        let basis = d_shell_basis();
+        assert!(basis.shells.iter().any(|sh| sh.l == 2));
+        assert_matches_reference(&basis);
+    }
+
+    #[test]
+    fn d_shell_eris_have_eightfold_symmetry() {
+        let basis = d_shell_basis();
+        let eri = eri_tensor(&basis);
+        let n = basis.nao();
+        let mut rng = liair_math::rng::SplitMix64::new(11);
+        for _ in 0..300 {
+            let (i, j, k, l) = (rng.below(n), rng.below(n), rng.below(n), rng.below(n));
+            let v = eri.get(i, j, k, l);
+            for w in [
+                eri.get(j, i, l, k),
+                eri.get(k, l, i, j),
+                eri.get(l, k, j, i),
+            ] {
+                assert!(approx_eq(v, w, 1e-10), "({i}{j}|{k}{l}): {v} vs {w}");
+            }
+        }
+    }
 
     #[test]
     fn h2_sto3g_eri_table() {

@@ -4,8 +4,12 @@
 //!   Gaussian product `x_A^i x_B^j e^{-a x_A²} e^{-b x_B²}`;
 //! * [`hermite_aux`] — the Coulomb auxiliary integrals
 //!   `R_{tuv}(p, P−C)` built from the Boys function by the standard
-//!   downward-in-`n` recursion.
+//!   downward-in-`n` recursion, over a full `(t, u, v)` box;
+//! * [`hermite_aux_tri_into`] — the same recursion restricted to the
+//!   triangle `t + u + v ≤ l` the ERI contraction reads, into reusable
+//!   scratch.
 
+use liair_math::special::boys_into;
 use liair_math::Vec3;
 
 /// Hermite expansion coefficients for a primitive pair along one axis.
@@ -84,46 +88,15 @@ impl ECoefs {
 /// `R^n_{t+1,u,v} = t·R^{n+1}_{t−1,u,v} + X_PC·R^{n+1}_{t,u,v}` (same per
 /// axis), evaluated by carrying full `(t,u,v)` cubes downward in `n`.
 pub fn hermite_aux(tmax: usize, umax: usize, vmax: usize, p: f64, pc: Vec3) -> Vec<f64> {
-    let mut scratch = AuxScratch::default();
-    hermite_aux_into(tmax, umax, vmax, p, pc, &mut scratch);
-    scratch.cur.clone()
-}
-
-/// Reusable buffers for [`hermite_aux_into`] — the ERI hot loop calls this
-/// once per primitive quartet, so allocation there matters.
-#[derive(Debug, Default, Clone)]
-pub struct AuxScratch {
-    /// Result cube after a call (`R⁰_{tuv}`, flattened as in
-    /// [`hermite_aux`]).
-    pub cur: Vec<f64>,
-    next: Vec<f64>,
-    boys: Vec<f64>,
-}
-
-/// As [`hermite_aux`], but writing into reusable scratch storage; the
-/// result lives in `scratch.cur`.
-pub fn hermite_aux_into(
-    tmax: usize,
-    umax: usize,
-    vmax: usize,
-    p: f64,
-    pc: Vec3,
-    scratch: &mut AuxScratch,
-) {
     let nmax = tmax + umax + vmax;
-    scratch.boys.resize(nmax + 1, 0.0);
-    crate::boys_into_shim(&mut scratch.boys, p * pc.norm_sqr());
-    let f = &scratch.boys;
+    let mut f = vec![0.0; nmax + 1];
+    boys_into(&mut f, p * pc.norm_sqr());
     let dim = (tmax + 1) * (umax + 1) * (vmax + 1);
     let at = |t: usize, u: usize, v: usize| (t * (umax + 1) + u) * (vmax + 1) + v;
     // cur holds R^{n} cube; start at n = nmax where only (0,0,0) is needed,
     // then step n downward filling progressively larger t+u+v shells.
-    scratch.cur.clear();
-    scratch.cur.resize(dim, 0.0);
-    scratch.next.clear();
-    scratch.next.resize(dim, 0.0);
-    let cur = &mut scratch.cur;
-    let next = &mut scratch.next;
+    let mut cur = vec![0.0; dim];
+    let mut next = vec![0.0; dim];
     cur[0] = (-2.0 * p).powi(nmax as i32) * f[nmax];
     for n in (0..nmax).rev() {
         // `next` ← R^{n} from `cur` = R^{n+1}.
@@ -161,7 +134,94 @@ pub fn hermite_aux_into(
                 }
             }
         }
+        std::mem::swap(&mut cur, &mut next);
+    }
+    cur
+}
+
+/// Reusable buffers for [`hermite_aux_tri_into`] — the ERI hot loop calls it
+/// once per primitive quartet, so allocation there matters.
+#[derive(Debug, Default, Clone)]
+pub struct AuxScratch {
+    /// Result cube after a call, `R⁰_{tuv}` at `(t·stride + u)·stride + v`.
+    pub cur: Vec<f64>,
+    next: Vec<f64>,
+    boys: Vec<f64>,
+}
+
+/// `scale · R⁰_{tuv}(p, PC)` for every `t + u + v ≤ l`, into `scratch.cur`
+/// at `(t·stride + u)·stride + v` (`stride > l`). Entries outside the
+/// triangle are left unspecified.
+///
+/// Boys values run to order `l` only, and each level `n` of the downward
+/// recursion fills just the triangle `t + u + v ≤ l − n` it feeds. The
+/// fixed stride lets a caller address `R_{t+τ,u+ν,v+φ}` as the sum of two
+/// precomputed offsets.
+pub fn hermite_aux_tri_into(
+    l: usize,
+    p: f64,
+    pc: Vec3,
+    scale: f64,
+    stride: usize,
+    scratch: &mut AuxScratch,
+) {
+    debug_assert!(l < stride, "stride {stride} too small for degree {l}");
+    let dim = stride * stride * stride;
+    if scratch.cur.len() < dim {
+        scratch.cur.resize(dim, 0.0);
+        scratch.next.resize(dim, 0.0);
+    }
+    scratch.boys.clear();
+    scratch.boys.resize(l + 1, 0.0);
+    boys_into(&mut scratch.boys, p * pc.norm_sqr());
+    // R^n_{000} = scale · (−2p)^n F_n.
+    let mut pow = scale;
+    for f in scratch.boys.iter_mut() {
+        *f *= pow;
+        pow *= -2.0 * p;
+    }
+    let (s1, s2) = (stride, stride * stride);
+    let (cur, next) = (&mut scratch.cur, &mut scratch.next);
+    cur[0] = scratch.boys[l];
+    for n in (0..l).rev() {
+        // `next` ← R^n on the triangle of degree ≤ l − n, from `cur` = R^{n+1},
+        // reducing along the first nonzero index.
+        let m = l - n;
+        next[0] = scratch.boys[n];
+        next[1] = pc.z * cur[0];
+        for v in 2..=m {
+            next[v] = pc.z * cur[v - 1] + (v - 1) as f64 * cur[v - 2];
+        }
+        // The rest one `v` line at a time, reduced along `u` or `t`.
+        for u in 1..=m {
+            aux_line(next, cur, u * s1, m - u + 1, s1, pc.y, u - 1);
+        }
+        for t in 1..=m {
+            for u in 0..=(m - t) {
+                aux_line(next, cur, t * s2 + u * s1, m - t - u + 1, s2, pc.x, t - 1);
+            }
+        }
         std::mem::swap(cur, next);
+    }
+}
+
+/// One `v` line of the `R` recursion along an axis with stride `step`:
+/// `next[o+i] = x·cur[o+i−step] + k·cur[o+i−2·step]` for `i < len`, the
+/// second term only when `k > 0` (the index reduced is at least 2).
+#[inline(always)]
+fn aux_line(next: &mut [f64], cur: &[f64], o: usize, len: usize, step: usize, x: f64, k: usize) {
+    let dst = &mut next[o..o + len];
+    let one = &cur[o - step..o - step + len];
+    if k == 0 {
+        for (d, &a) in dst.iter_mut().zip(one) {
+            *d = x * a;
+        }
+    } else {
+        let k = k as f64;
+        let two = &cur[o - 2 * step..o - 2 * step + len];
+        for ((d, &a), &b) in dst.iter_mut().zip(one).zip(two) {
+            *d = x * a + k * b;
+        }
     }
 }
 
@@ -237,6 +297,29 @@ mod tests {
         // Dims (2,1,1): flat index (t·1 + u)·1 + v collapses to t + u + v.
         let idx = |t: usize, u: usize, v: usize| t + u + v;
         assert!(approx_eq(r[idx(1, 0, 0)], want, 1e-13));
+    }
+
+    #[test]
+    fn triangular_aux_matches_box_on_the_triangle() {
+        let (p, pc, scale) = (0.8, Vec3::new(0.6, -1.1, 0.35), 1.7);
+        let mut scratch = AuxScratch::default();
+        for l in 0..=8 {
+            let stride = l + 2;
+            hermite_aux_tri_into(l, p, pc, scale, stride, &mut scratch);
+            let full = hermite_aux(l, l, l, p, pc);
+            for t in 0..=l {
+                for u in 0..=(l - t) {
+                    for v in 0..=(l - t - u) {
+                        let want = scale * full[(t * (l + 1) + u) * (l + 1) + v];
+                        let got = scratch.cur[(t * stride + u) * stride + v];
+                        assert!(
+                            (got - want).abs() <= 1e-13 * (1.0 + want.abs()),
+                            "l={l} ({t},{u},{v}): {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

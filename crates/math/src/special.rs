@@ -4,13 +4,16 @@
 //! `F_m(x) = ∫₀¹ t^{2m} e^{-x t²} dt`, which every Coulomb-type Gaussian
 //! integral reduces to. We use the standard numerically-stable split:
 //!
-//! * `x < 35`: evaluate the highest requested order by its convergent series
-//!   and fill lower orders with the *downward* recursion
-//!   `F_m = (2x·F_{m+1} + e^{-x}) / (2m+1)` (stable in this direction);
+//! * `x < 35`: evaluate the highest requested order by a 7-term Taylor
+//!   expansion about the nearest point of a table (step 0.05, built once per
+//!   process from the convergent series) and fill lower orders with the
+//!   *downward* recursion `F_m = (2x·F_{m+1} + e^{-x}) / (2m+1)` (stable in
+//!   this direction). Top orders beyond the table fall back to the series;
 //! * `x ≥ 35`: `F₀ ≈ ½√(π/x)` (the `erfc(√x)` correction is below machine
 //!   epsilon here) followed by the *upward* recursion, stable for large `x`.
 
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// Natural log of the gamma function (Lanczos, g = 7, 9 coefficients);
 /// |relative error| < 1e-13 for x > 0.
@@ -128,6 +131,32 @@ pub fn boys(mmax: usize, x: f64) -> Vec<f64> {
     f
 }
 
+/// Spacing of the Boys table's grid in `x`.
+const BOYS_STEP: f64 = 0.05;
+/// Grid points `x_i = i·BOYS_STEP` covering `[0, 35]`.
+const BOYS_POINTS: usize = 701;
+/// Taylor terms per table lookup. The nearest grid point is at most
+/// `BOYS_STEP/2` away, so the first omitted term is below
+/// `0.025⁷/7! ≈ 1.2e-15` of the value.
+const BOYS_TAYLOR: usize = 7;
+/// Highest top order [`boys_into`] serves from the table.
+const BOYS_TABLE_MAX_ORDER: usize = 16;
+/// Orders stored per grid point: the top order plus its Taylor terms.
+const BOYS_ORDERS: usize = BOYS_TABLE_MAX_ORDER + BOYS_TAYLOR;
+
+/// `F_0..F_{BOYS_ORDERS−1}` at every grid point, flattened `[point][order]`
+/// (≈130 kB), built on first use.
+fn boys_table() -> &'static [f64] {
+    static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = vec![0.0; BOYS_POINTS * BOYS_ORDERS];
+        for (i, row) in table.chunks_exact_mut(BOYS_ORDERS).enumerate() {
+            boys_series_into(row, i as f64 * BOYS_STEP);
+        }
+        table
+    })
+}
+
 /// As [`boys`], writing into a caller-provided slice (hot paths reuse the
 /// buffer). `out.len() - 1` is the maximum order.
 pub fn boys_into(out: &mut [f64], x: f64) {
@@ -139,33 +168,70 @@ pub fn boys_into(out: &mut [f64], x: f64) {
         }
         return;
     }
-    if x < 35.0 {
-        // Series for the top order: F_m(x) = e^{-x} Σ_k (2x)^k /
-        // ((2m+1)(2m+3)...(2m+2k+1)) — term ratio 2x/(2m+2k+3).
-        let emx = (-x).exp();
-        let mut term = 1.0 / (2 * mmax + 1) as f64;
-        let mut sum = term;
-        let mut k = 0usize;
-        loop {
-            term *= 2.0 * x / (2 * mmax + 2 * k + 3) as f64;
-            sum += term;
-            k += 1;
-            if term < sum * 1e-17 || k > 10_000 {
-                break;
-            }
-        }
-        out[mmax] = emx * sum;
-        // Downward recursion.
-        for m in (0..mmax).rev() {
-            out[m] = (2.0 * x * out[m + 1] + emx) / (2 * m + 1) as f64;
-        }
-    } else {
+    if x >= 35.0 {
         // Large-x asymptotics: erfc(√35) ≈ 3e-17 so the correction vanishes.
         let emx = (-x).exp();
         out[0] = 0.5 * (PI / x).sqrt();
         for m in 0..mmax {
             out[m + 1] = ((2 * m + 1) as f64 * out[m] - emx) / (2.0 * x);
         }
+        return;
+    }
+    if mmax > BOYS_TABLE_MAX_ORDER {
+        boys_series_into(out, x);
+        return;
+    }
+    // Taylor expansion of the top order about the nearest grid point,
+    // `F_m(x₀ + δ) = Σ_k F_{m+k}(x₀) (−δ)^k / k!`, summed by Horner.
+    const INV_K: [f64; BOYS_TAYLOR] = [
+        0.0,
+        1.0,
+        1.0 / 2.0,
+        1.0 / 3.0,
+        1.0 / 4.0,
+        1.0 / 5.0,
+        1.0 / 6.0,
+    ];
+    // Nearest grid point (`round` is a library call on baseline x86-64).
+    let i = (x * (1.0 / BOYS_STEP) + 0.5) as usize;
+    let row = &boys_table()[i * BOYS_ORDERS + mmax..][..BOYS_TAYLOR];
+    let neg_delta = i as f64 * BOYS_STEP - x;
+    let mut top = row[BOYS_TAYLOR - 1];
+    for k in (1..BOYS_TAYLOR).rev() {
+        top = row[k - 1] + neg_delta * INV_K[k] * top;
+    }
+    out[mmax] = top;
+    if mmax > 0 {
+        let emx = (-x).exp();
+        for m in (0..mmax).rev() {
+            out[m] = (2.0 * x * out[m + 1] + emx) / (2 * m + 1) as f64;
+        }
+    }
+}
+
+/// Boys values by the convergent series for the top order,
+/// `F_m(x) = e^{-x} Σ_k (2x)^k / ((2m+1)(2m+3)…(2m+2k+1))`, and downward
+/// recursion below it. Builds the table behind [`boys_into`] and serves top
+/// orders beyond it; valid for every `x ≥ 0`, but takes ~`2x` terms.
+pub fn boys_series_into(out: &mut [f64], x: f64) {
+    assert!(!out.is_empty());
+    let mmax = out.len() - 1;
+    let emx = (-x).exp();
+    // Term ratio 2x/(2m+2k+3).
+    let mut term = 1.0 / (2 * mmax + 1) as f64;
+    let mut sum = term;
+    let mut k = 0usize;
+    loop {
+        term *= 2.0 * x / (2 * mmax + 2 * k + 3) as f64;
+        sum += term;
+        k += 1;
+        if term < sum * 1e-17 || k > 10_000 {
+            break;
+        }
+    }
+    out[mmax] = emx * sum;
+    for m in (0..mmax).rev() {
+        out[m] = (2.0 * x * out[m + 1] + emx) / (2 * m + 1) as f64;
     }
 }
 
@@ -288,6 +354,27 @@ mod tests {
                 assert!(approx_eq(f[m], val, 1e-11), "x={x}, m={m}");
             }
         }
+    }
+
+    #[test]
+    fn boys_table_matches_series() {
+        // Grid points, midpoints (the largest Taylor step) and the
+        // asymptotic branch above 35, at every top order the table serves
+        // and beyond it.
+        let mut got = [0.0; 17];
+        let mut want = [0.0; 17];
+        let mut worst = 0.0f64;
+        for i in 0..=1600 {
+            let x = i as f64 * 0.025 + 1e-3 * (i % 7) as f64;
+            for mmax in 0..=16 {
+                boys_into(&mut got[..=mmax], x);
+                boys_series_into(&mut want[..=mmax], x);
+                for m in 0..=mmax {
+                    worst = worst.max((got[m] - want[m]).abs() / want[m]);
+                }
+            }
+        }
+        assert!(worst <= 1e-13, "worst relative error {worst:e}");
     }
 
     #[test]

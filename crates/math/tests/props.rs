@@ -5,7 +5,7 @@ use liair_math::fft3::{fft3, to_complex};
 use liair_math::linalg::{eigh, try_solve, Mat};
 use liair_math::rfft::{half_len, irfft3, irfft3_into, rfft3, rfft3_into};
 use liair_math::rng::SplitMix64;
-use liair_math::special::{boys, erf};
+use liair_math::special::{boys, boys_into, boys_series_into, erf};
 use liair_math::Complex64;
 use proptest::prelude::*;
 
@@ -181,6 +181,20 @@ proptest! {
         let x = try_solve(&a, &b).expect("well-conditioned");
         for (g, w) in x.iter().zip(&x_true) {
             prop_assert!((g - w).abs() < 1e-8);
+        }
+    }
+
+    /// The tabulated Boys function agrees with the series it is built
+    /// from, at every order below the requested top order.
+    #[test]
+    fn boys_table_matches_series_everywhere(x in 0.0f64..40.0, mmax in 0usize..17) {
+        let mut got = vec![0.0; mmax + 1];
+        let mut want = vec![0.0; mmax + 1];
+        boys_into(&mut got, x);
+        boys_series_into(&mut want, x);
+        for m in 0..=mmax {
+            let rel = (got[m] - want[m]).abs() / want[m];
+            prop_assert!(rel <= 1e-13, "m={m} x={x}: relative error {rel:e}");
         }
     }
 
