@@ -12,8 +12,9 @@
 use super::{pipeline, BuildProfile, ExchangeEngine, ExecBackend, PipelineMode};
 use crate::balance::assign;
 use crate::error::{Error, Result};
+use crate::screening::OrbitalInfo;
 use liair_basis::Basis;
-use liair_grid::{ao_values, orbitals_on_grid, KernelTimings, PoissonWorkspace, RealGrid};
+use liair_grid::{ao_values, orbitals_from_aos, KernelTimings, PoissonWorkspace, RealGrid};
 use liair_math::Mat;
 use liair_runtime::{run_spmd_cfg, CommConfig};
 use rayon::prelude::*;
@@ -23,21 +24,60 @@ use std::time::Instant;
 /// plus that orbital's `(evaluated, skipped)` task counts.
 pub(crate) type OrbitalContrib = ((usize, Mat), (usize, usize));
 
-/// Everything the per-orbital K tasks need that does not depend on which
-/// orbitals are dirty: AO and orbital fields on the grid plus the
-/// screening metadata. Shared by the from-scratch and incremental builds.
-pub(crate) struct KBuildSetup {
-    pub(crate) nao: usize,
+/// The geometry-only part of a K build: the AO fields on the grid and the
+/// AOs' screening metadata. A fixed geometry determines it, so an SCF
+/// builds it once and lends it to the K build of every iteration
+/// ([`ExchangeEngine::k_operator_in`],
+/// [`crate::IncrementalExchange::exchange_operator_in`]).
+pub struct KGeometry<'b> {
+    pub(crate) basis: &'b Basis,
+    pub(crate) grid: RealGrid,
+    /// AO fields on the grid.
+    pub(crate) aos: Vec<Vec<f64>>,
+    /// Screening metadata of the AOs (read only when `eps > 0`).
+    pub(crate) ao_info: Vec<OrbitalInfo>,
+}
+
+impl<'b> KGeometry<'b> {
+    /// Evaluate every AO of `basis` on `grid`.
+    pub fn new(basis: &'b Basis, grid: &RealGrid) -> KGeometry<'b> {
+        let ao_info = basis
+            .aos
+            .iter()
+            .map(|ao| {
+                let sh = &basis.shells[ao.shell];
+                let alpha_min = sh.prims.iter().map(|p| p.exp).fold(f64::INFINITY, f64::min);
+                OrbitalInfo {
+                    center: sh.center,
+                    spread: (1.0 / (2.0 * alpha_min)).sqrt().max(0.3),
+                }
+            })
+            .collect();
+        KGeometry {
+            basis,
+            grid: *grid,
+            aos: ao_values(basis, grid),
+            ao_info,
+        }
+    }
+
+    /// Number of AOs.
+    pub fn nao(&self) -> usize {
+        self.aos.len()
+    }
+}
+
+/// The per-iteration part of a K build: the occupied orbital fields built
+/// from the borrowed AO fields, plus their screening metadata. Shared by
+/// the from-scratch and incremental builds.
+pub(crate) struct KBuildSetup<'g> {
+    pub(crate) geom: &'g KGeometry<'g>,
     pub(crate) nocc: usize,
     /// Localization centers/spreads of the (localized) occupied orbitals;
     /// empty when `eps = 0` (no localization, nothing to screen).
-    pub(crate) orb_info: Vec<crate::screening::OrbitalInfo>,
-    /// Screening metadata of the AOs (empty when `eps = 0`).
-    pub(crate) ao_info: Vec<crate::screening::OrbitalInfo>,
+    pub(crate) orb_info: Vec<OrbitalInfo>,
     /// Occupied orbital fields on the grid (localized when `eps > 0`).
     pub(crate) orbitals: Vec<Vec<f64>>,
-    /// AO fields on the grid.
-    pub(crate) aos: Vec<Vec<f64>>,
 }
 
 /// Evaluate the orbital fields and screening metadata for a K build.
@@ -45,52 +85,35 @@ pub(crate) struct KBuildSetup {
 /// Canonical orbitals are delocalized and unscreenable; K is invariant
 /// under rotations within the occupied space, so when screening is on we
 /// localize first (exactly what the paper's scheme does each step).
-pub(crate) fn k_build_setup(
-    basis: &Basis,
+pub(crate) fn k_build_setup<'g>(
+    geom: &'g KGeometry<'g>,
     c_occ: &Mat,
     nocc: usize,
-    grid: &RealGrid,
     eps: f64,
-) -> KBuildSetup {
-    let nao = basis.nao();
-    assert_eq!(c_occ.nrows(), nao);
+) -> KBuildSetup<'g> {
+    assert_eq!(c_occ.nrows(), geom.nao());
     assert!(nocc <= c_occ.ncols());
-    let aos = ao_values(basis, grid);
-    let (c_work, orb_info, ao_info) = if eps > 0.0 {
-        let loc = liair_grid::foster_boys(basis, c_occ, nocc, 60);
-        let orbs: Vec<crate::screening::OrbitalInfo> = loc
+    let (c_loc, orb_info) = if eps > 0.0 {
+        let loc = liair_grid::foster_boys(geom.basis, c_occ, nocc, 60);
+        let orbs = loc
             .centers
             .iter()
             .zip(&loc.spreads)
-            .map(|(&center, &s)| crate::screening::OrbitalInfo {
+            .map(|(&center, &s)| OrbitalInfo {
                 center,
                 spread: s.max(0.3),
             })
             .collect();
-        let aos_s: Vec<crate::screening::OrbitalInfo> = basis
-            .aos
-            .iter()
-            .map(|ao| {
-                let sh = &basis.shells[ao.shell];
-                let alpha_min = sh.prims.iter().map(|p| p.exp).fold(f64::INFINITY, f64::min);
-                crate::screening::OrbitalInfo {
-                    center: sh.center,
-                    spread: (1.0 / (2.0 * alpha_min)).sqrt().max(0.3),
-                }
-            })
-            .collect();
-        (loc.c_loc, orbs, aos_s)
+        (Some(loc.c_loc), orbs)
     } else {
-        (c_occ.clone(), Vec::new(), Vec::new())
+        (None, Vec::new())
     };
-    let orbitals = orbitals_on_grid(basis, &c_work, nocc, grid);
+    let orbitals = orbitals_from_aos(&geom.aos, c_loc.as_ref().unwrap_or(c_occ), nocc);
     KBuildSetup {
-        nao,
+        geom,
         nocc,
         orb_info,
-        ao_info,
         orbitals,
-        aos,
     }
 }
 
@@ -145,7 +168,9 @@ impl ExchangeEngine<'_> {
     /// `c_occ` holds the occupied MO coefficients (`nao × nocc`) in the
     /// same (box-centered) basis the grid discretizes; `eps` drops `(j, ν)`
     /// tasks whose Gaussian-overlap bound falls below it (localizing
-    /// first when `eps > 0`).
+    /// first when `eps > 0`). Evaluates the AO fields for this one build;
+    /// callers that build K repeatedly at one geometry hold a
+    /// [`KGeometry`] and call [`ExchangeEngine::k_operator_in`].
     pub fn k_operator(&self, basis: &Basis, c_occ: &Mat, nocc: usize, eps: f64) -> KBuildOutcome {
         self.try_k_operator(basis, c_occ, nocc, eps)
             .unwrap_or_else(|e| panic!("K-operator build failed: {e}"))
@@ -159,14 +184,50 @@ impl ExchangeEngine<'_> {
         nocc: usize,
         eps: f64,
     ) -> Result<KBuildOutcome> {
+        let t_ao = Instant::now();
+        let geom = KGeometry::new(basis, self.grid);
+        let t_geom = t_ao.elapsed().as_secs_f64();
+        let mut out = self.try_k_operator_in(&geom, c_occ, nocc, eps)?;
+        out.profile.t_ao_eval_s += t_geom;
+        Ok(out)
+    }
+
+    /// [`ExchangeEngine::k_operator`] over AO fields evaluated once for the
+    /// geometry (bit-identical to it).
+    pub fn k_operator_in(
+        &self,
+        geom: &KGeometry,
+        c_occ: &Mat,
+        nocc: usize,
+        eps: f64,
+    ) -> KBuildOutcome {
+        self.try_k_operator_in(geom, c_occ, nocc, eps)
+            .unwrap_or_else(|e| panic!("K-operator build failed: {e}"))
+    }
+
+    /// Fallible twin of [`ExchangeEngine::k_operator_in`]; rejects a
+    /// geometry sampled on a different grid than the engine's.
+    pub fn try_k_operator_in(
+        &self,
+        geom: &KGeometry,
+        c_occ: &Mat,
+        nocc: usize,
+        eps: f64,
+    ) -> Result<KBuildOutcome> {
+        if geom.grid != *self.grid {
+            return Err(Error::InvalidConfig(
+                "K geometry was evaluated on a different grid than the engine's".into(),
+            ));
+        }
         let mut profile = BuildProfile::default();
         let t_ao = Instant::now();
-        let setup = k_build_setup(basis, c_occ, nocc, self.grid, eps);
+        let setup = k_build_setup(geom, c_occ, nocc, eps);
         profile.t_ao_eval_s += t_ao.elapsed().as_secs_f64();
+        let nao = geom.nao();
         let slots: Vec<usize> = (0..nocc).collect();
         let results = self.k_orbital_contribs(&setup, eps, &slots, &mut profile)?;
         let tr = Instant::now();
-        let mut k = Mat::zeros(setup.nao, setup.nao);
+        let mut k = Mat::zeros(nao, nao);
         let mut evaluated = 0;
         let mut skipped = 0;
         for ((_, dk), (ev, sk)) in &results {
@@ -176,7 +237,7 @@ impl ExchangeEngine<'_> {
         }
         symmetrize(&mut k);
         profile.t_reduce_s += tr.elapsed().as_secs_f64();
-        profile.bytes_reduced += results.len() * setup.nao * setup.nao * std::mem::size_of::<f64>();
+        profile.bytes_reduced += results.len() * nao * nao * std::mem::size_of::<f64>();
         profile.pairs_computed = evaluated;
         profile.pairs_screened = skipped;
         Ok(KBuildOutcome {
@@ -199,7 +260,7 @@ impl ExchangeEngine<'_> {
         slots: &[usize],
         profile: &mut BuildProfile,
     ) -> Result<Vec<OrbitalContrib>> {
-        let nao = setup.nao;
+        let nao = setup.geom.nao();
         let plan_window = super::profile::PlanCacheWindow::open();
         // For each (j, ν): v_jν = Poisson[φ_j χ_ν]; then
         // K_μν += ∫ χ_μ φ_j v_jν — the pair-task structure of the energy
@@ -218,12 +279,13 @@ impl ExchangeEngine<'_> {
             // Every bound is ≤ 1: nothing survives, nothing to inspect.
             Vec::new()
         } else {
-            let bins = crate::screening::CrossBins::new(&setup.ao_info, eps)?;
+            let ao_info = &setup.geom.ao_info;
+            let bins = crate::screening::CrossBins::new(ao_info, eps)?;
             let mut tasks = Vec::new();
             let mut partners = Vec::new();
             for &j in slots {
                 profile.pairs_considered +=
-                    bins.partners(&setup.orb_info[j], &setup.ao_info, &mut partners);
+                    bins.partners(&setup.orb_info[j], ao_info, &mut partners);
                 tasks.extend(partners.iter().map(|&nu| (j, nu)));
             }
             tasks
@@ -262,7 +324,8 @@ impl ExchangeEngine<'_> {
         tasks: &[(usize, usize)],
         profile: &mut BuildProfile,
     ) -> Result<Vec<Vec<f64>>> {
-        let nao = setup.nao;
+        let nao = setup.geom.nao();
+        let aos = &setup.geom.aos;
         let npts = self.grid.len();
         let dvol = self.grid.dvol();
         let level = self.simd_choice();
@@ -271,7 +334,7 @@ impl ExchangeEngine<'_> {
             let (j, nu) = tasks[t];
             let grew = sc.ensure(npts) as usize;
             let KTaskScratch { rho, ws } = sc;
-            for ((r, &a), &b) in rho.iter_mut().zip(&setup.orbitals[j]).zip(&setup.aos[nu]) {
+            for ((r, &a), &b) in rho.iter_mut().zip(&setup.orbitals[j]).zip(&aos[nu]) {
                 *r = a * b;
             }
             let v = solver.solve_into_with(level, rho, ws);
@@ -280,7 +343,7 @@ impl ExchangeEngine<'_> {
                 .map(|mu| {
                     let mut acc = 0.0;
                     for p in 0..npts {
-                        acc += setup.aos[mu][p] * setup.orbitals[j][p] * v[p];
+                        acc += aos[mu][p] * setup.orbitals[j][p] * v[p];
                     }
                     acc * dvol
                 })

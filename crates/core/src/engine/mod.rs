@@ -31,7 +31,7 @@ pub(crate) mod pipeline;
 pub mod profile;
 
 pub use autotune::{kernel_choice_for, KernelChoice, PairPath};
-pub use kpath::KBuildOutcome;
+pub use kpath::{KBuildOutcome, KGeometry};
 pub use profile::BuildProfile;
 // The collective/fault types appear in the builder's public API;
 // re-export them so engine users need not depend on the runtime crate.

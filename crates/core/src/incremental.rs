@@ -40,7 +40,7 @@
 //! build is exactly the from-scratch one (bit-identical for the operator
 //! path — property-tested).
 
-use crate::engine::{BuildProfile, ExchangeEngine, ExecBackend, KernelChoice};
+use crate::engine::{BuildProfile, ExchangeEngine, ExecBackend, KGeometry, KernelChoice};
 use crate::screening::{OrbitalInfo, Pair, PairList};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::{Mat, Vec3};
@@ -464,11 +464,31 @@ impl IncrementalExchange {
         solver: &PoissonSolver,
         eps: f64,
     ) -> (Mat, usize, usize, IncStats) {
+        let t_ao = Instant::now();
+        let geom = KGeometry::new(basis, grid);
+        let t_geom = t_ao.elapsed().as_secs_f64();
+        let out = self.exchange_operator_in(&geom, c_occ, nocc, solver, eps);
+        self.last_profile.t_ao_eval_s += t_geom;
+        out
+    }
+
+    /// [`IncrementalExchange::exchange_operator`] over AO fields evaluated
+    /// once for the geometry (bit-identical to it); the grid is the one
+    /// `geom` was sampled on.
+    pub fn exchange_operator_in(
+        &mut self,
+        geom: &KGeometry,
+        c_occ: &Mat,
+        nocc: usize,
+        solver: &PoissonSolver,
+        eps: f64,
+    ) -> (Mat, usize, usize, IncStats) {
+        let grid = &geom.grid;
         let mut profile = BuildProfile::default();
         let t_ao = Instant::now();
-        let setup = crate::engine::kpath::k_build_setup(basis, c_occ, nocc, grid, eps);
+        let setup = crate::engine::kpath::k_build_setup(geom, c_occ, nocc, eps);
         profile.t_ao_eval_s += t_ao.elapsed().as_secs_f64();
-        let nao = basis.nao();
+        let nao = geom.nao();
         let infos = if setup.orb_info.is_empty() {
             None
         } else {

@@ -54,7 +54,7 @@ pub use domain::{
 };
 pub use engine::{
     BuildProfile, CollectiveMode, CommTuning, EngineBuilder, EngineScratch, ExchangeEngine,
-    ExecBackend, FaultPlan, KBuildOutcome, KernelChoice, PairPath, PipelineMode,
+    ExecBackend, FaultPlan, KBuildOutcome, KGeometry, KernelChoice, PairPath, PipelineMode,
 };
 pub use error::{Error, Result};
 pub use hfx::{exchange_energy, exchange_energy_patched, HfxResult};

@@ -16,7 +16,7 @@
 //! exact exchange comes from the grid path, validating the full pipeline
 //! against the purely analytic RHF.
 
-use crate::engine::{BuildProfile, ExchangeEngine};
+use crate::engine::{BuildProfile, ExchangeEngine, KGeometry};
 use liair_basis::{Basis, Cell, Molecule};
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_integrals::{kinetic_matrix, nuclear_matrix, overlap_matrix, JkBuilder};
@@ -196,6 +196,12 @@ pub fn rhf_with_grid_exchange_in_cell(
     let e_nuc = mol_c.nuclear_repulsion();
     let jk = JkBuilder::new(&basis);
     let engine = ExchangeEngine::new(grid, solver);
+    let mut profile = BuildProfile::default();
+    // The AO fields depend only on the geometry: evaluate them once and
+    // lend them to every iteration's K build.
+    let t_ao = std::time::Instant::now();
+    let geom = KGeometry::new(&basis, grid);
+    profile.t_ao_eval_s += t_ao.elapsed().as_secs_f64();
 
     // Core guess, unless the caller warm-starts from a previous step's
     // converged orbitals (an MD loop: iteration 1 then starts next to the
@@ -210,7 +216,6 @@ pub fn rhf_with_grid_exchange_in_cell(
     let mut tasks_evaluated = 0;
     let mut tasks_skipped = 0;
     let mut tasks_reused = 0;
-    let mut profile = BuildProfile::default();
     for it in 1..=max_iter {
         iterations = it;
         let density = density_of(&c_occ, nocc);
@@ -224,13 +229,13 @@ pub fn rhf_with_grid_exchange_in_cell(
                 state.eps_inc = inc_schedule.eps_for(it - 1);
                 state.rebuild_every = inc_schedule.rebuild_every;
                 let (k, evaluated, skipped, stats) =
-                    state.exchange_operator(&basis, &c_occ, nocc, grid, solver, eps);
+                    state.exchange_operator_in(&geom, &c_occ, nocc, solver, eps);
                 tasks_reused += stats.pairs_reused;
                 profile.merge(&state.last_profile);
                 (k, evaluated, skipped)
             }
             None => {
-                let out = engine.k_operator(&basis, &c_occ, nocc, eps);
+                let out = engine.k_operator_in(&geom, &c_occ, nocc, eps);
                 profile.merge(&out.profile);
                 (out.k, out.evaluated, out.skipped)
             }

@@ -91,12 +91,20 @@ pub fn ao_values(basis: &Basis, grid: &RealGrid) -> Vec<Vec<f64>> {
 /// (`nao × nmo_total`) on the grid: `φ_k(r) = Σ_μ C_{μk} χ_μ(r)`.
 pub fn orbitals_on_grid(basis: &Basis, c: &Mat, nmo: usize, grid: &RealGrid) -> Vec<Vec<f64>> {
     assert_eq!(c.nrows(), basis.nao());
+    orbitals_from_aos(&ao_values(basis, grid), c, nmo)
+}
+
+/// [`orbitals_on_grid`] from AO fields the caller already holds (the
+/// output of [`ao_values`]): callers that keep the geometry fixed across
+/// many coefficient sets evaluate the AOs once.
+pub fn orbitals_from_aos(aos: &[Vec<f64>], c: &Mat, nmo: usize) -> Vec<Vec<f64>> {
+    assert_eq!(c.nrows(), aos.len());
     assert!(nmo <= c.ncols());
-    let aos = ao_values(basis, grid);
+    let npts = aos.first().map_or(0, Vec::len);
     (0..nmo)
         .into_par_iter()
         .map(|k| {
-            let mut phi = vec![0.0; grid.len()];
+            let mut phi = vec![0.0; npts];
             for (mu, ao) in aos.iter().enumerate() {
                 let coef = c[(mu, k)];
                 if coef.abs() < 1e-14 {

@@ -37,9 +37,13 @@ pub struct Patch {
 impl Patch {
     /// Plan a patch of at least `extent³` parent-spacing points whose
     /// *center* lands nearest to `center`. The extent is rounded up to the
-    /// next power of two (the radix-2 FFT fast path — a non-power-of-two
-    /// patch would fall into the ~4× slower Bluestein transform and waste
-    /// the compact representation's advantage) and clamped to the parent.
+    /// next power of two and clamped to the parent. The rounding dates
+    /// from when every other length took Bluestein, at ≈4.8× the radix-2
+    /// cost per point; a 7-smooth extent now takes the mixed-radix FFT at
+    /// about the radix-2 cost per point (a 24³ pair energy is 3.5× a 16³
+    /// one for 3.4× the points, measured on a 2-vCPU x86-64 host). The
+    /// rounding stays because sizing patches by the physics changes
+    /// energies.
     pub fn plan(parent: &RealGrid, center: Vec3, extent: usize) -> Patch {
         let (nx, ny, nz) = parent.dims;
         assert_eq!(nx, ny, "patches require cubic parent grids");

@@ -54,9 +54,10 @@ fn random_field(n: usize, seed: u64) -> Vec<f64> {
 #[test]
 fn pair_energy_paths_are_allocation_free_after_warmup() {
     let _guard = SERIAL.lock().unwrap();
-    // 32³: pure radix-2 lines. 24³ additionally covered below for the
-    // Bluestein path (its convolution scratch is thread-local too).
-    for n in [32usize, 24] {
+    // 32³: pure radix-2 lines. 24³ takes the mixed-radix path (its
+    // Stockham ping-pong buffer is thread-local) and 22³ the Bluestein
+    // path (prime factor 11; its convolution scratch is thread-local too).
+    for n in [32usize, 24, 22] {
         let grid = RealGrid::cubic(Cell::cubic(12.0), n);
         let solver = PoissonSolver::isolated(grid);
         let a = random_field(grid.len(), 1);

@@ -1,10 +1,11 @@
 //! 1-D complex FFTs (convenience entry points).
 //!
 //! These free functions delegate to the process-wide plan cache in
-//! [`crate::plan`]: the first transform of a given length builds twiddle
-//! tables, the bit-reversal permutation, and (for non-power-of-two lengths)
-//! the Bluestein chirp plus its precomputed forward spectrum; every later
-//! call reuses them. Hot loops that transform many same-length lines should
+//! [`crate::plan`]: the first transform of a given length builds its
+//! tables — radix-2 twiddles and bit reversal, mixed-radix stage twiddles
+//! for 7-smooth lengths, or the Bluestein chirp plus its precomputed
+//! forward spectrum for a prime factor > 7 — and every later call reuses
+//! them. Hot loops that transform many same-length lines should
 //! fetch the plan once with [`crate::plan::plan`] and call it directly to
 //! skip the per-call cache lookup.
 //!

@@ -14,6 +14,12 @@
 //!   `n/2 + 1` bins (the c2r side reconstructs the rest by symmetry), so
 //!   every grid size remains supported.
 //!
+//! Every complex line — the packed `n/2`-point row and the `y`/`x` axis
+//! lines — runs whichever algorithm [`crate::plan`] picked for its length:
+//! radix-2 for powers of two, the mixed-radix Stockham plan for 7-smooth
+//! lengths (a 24³ grid transforms 12-point packed rows and 24-point axis
+//! lines), Bluestein only for a prime factor > 7.
+//!
 //! Conventions match [`crate::fft`]: the forward transform is
 //! unnormalized — bin `(ix, iy, iz)` of [`rfft3`] equals bin `(ix, iy, iz)`
 //! of [`crate::fft3::fft3`] for `iz < nz/2 + 1` — and the inverse is exact

@@ -23,7 +23,7 @@ fn random_real(n: usize, seed: u64) -> Vec<f64> {
 
 /// Mix of power-of-two and odd/mixed grid shapes, indexed so proptest can
 /// pick one: both the packed even r2c path and the odd fallback run.
-const RFFT_DIMS: [(usize, usize, usize); 8] = [
+const RFFT_DIMS: [(usize, usize, usize); 10] = [
     (4, 4, 4),
     (8, 8, 8),
     (2, 3, 5),
@@ -32,13 +32,15 @@ const RFFT_DIMS: [(usize, usize, usize); 8] = [
     (5, 5, 5),
     (4, 6, 9),
     (16, 2, 8),
+    (24, 24, 24),
+    (6, 9, 22),
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// FFT round-trip is the identity for any length (radix-2 and
-    /// Bluestein paths both covered).
+    /// FFT round-trip is the identity for any length (radix-2,
+    /// mixed-radix and Bluestein paths all covered).
     #[test]
     fn fft_roundtrip_any_length(n in 1usize..200, seed in 0u64..1000) {
         let x = random_signal(n, seed);
@@ -77,7 +79,7 @@ proptest! {
     /// grid shape (even pack-trick and odd fallback paths both covered),
     /// through both the threaded and the serial zero-alloc entry points.
     #[test]
-    fn rfft3_roundtrip_is_identity(pick in 0usize..8, seed in 0u64..1000) {
+    fn rfft3_roundtrip_is_identity(pick in 0..RFFT_DIMS.len(), seed in 0u64..1000) {
         let dims = RFFT_DIMS[pick];
         let n = dims.0 * dims.1 * dims.2;
         let x = random_real(n, seed);
@@ -95,7 +97,7 @@ proptest! {
     /// The half-spectrum bins of rfft3 agree exactly with the matching
     /// bins of the complex fft3 on random real fields.
     #[test]
-    fn rfft3_matches_fft3(pick in 0usize..8, seed in 0u64..1000) {
+    fn rfft3_matches_fft3(pick in 0..RFFT_DIMS.len(), seed in 0u64..1000) {
         let dims = RFFT_DIMS[pick];
         let (nx, ny, nz) = dims;
         let x = random_real(nx * ny * nz, seed);
@@ -119,7 +121,7 @@ proptest! {
     /// Parseval on the half-spectrum: Σ x² = (1/N)·Σ w_k |X_k|² with
     /// weight 1 on the self-conjugate z-planes and 2 elsewhere.
     #[test]
-    fn rfft3_parseval_half_spectrum(pick in 0usize..8, seed in 0u64..1000) {
+    fn rfft3_parseval_half_spectrum(pick in 0..RFFT_DIMS.len(), seed in 0u64..1000) {
         let dims = RFFT_DIMS[pick];
         let (nx, ny, nz) = dims;
         let n = nx * ny * nz;

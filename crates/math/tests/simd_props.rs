@@ -37,14 +37,18 @@ fn ulp_distance(a: f64, b: f64) -> u64 {
     key(a).abs_diff(key(b))
 }
 
-/// Shapes covering the packed even r2c path and the odd/Bluestein fallback.
-const RFFT_DIMS: [(usize, usize, usize); 6] = [
+/// Shapes covering the packed even r2c path, the odd fallback, and all
+/// three 1-D algorithms: radix-2, mixed-radix (3, 5, 6, 7, 9, 12, 24) and
+/// Bluestein (22, and 11 as its packed half).
+const RFFT_DIMS: [(usize, usize, usize); 8] = [
     (4, 4, 4),
     (8, 8, 8),
     (2, 3, 5),
     (3, 5, 7),
     (8, 4, 6),
     (16, 2, 8),
+    (24, 24, 24),
+    (6, 9, 22),
 ];
 
 proptest! {
@@ -146,7 +150,7 @@ proptest! {
     /// The full 3-D r2c transform — pack, butterflies, twiddles, untangle —
     /// is bit-identical at every level, on even and odd grid shapes.
     #[test]
-    fn rfft3_bit_identical_across_levels(pick in 0usize..6, seed in 0u64..1000) {
+    fn rfft3_bit_identical_across_levels(pick in 0..RFFT_DIMS.len(), seed in 0u64..1000) {
         let dims = RFFT_DIMS[pick];
         let x = random_real(dims.0 * dims.1 * dims.2, seed);
         let mut reference = vec![Complex64::ZERO; half_len(dims)];

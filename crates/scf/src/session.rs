@@ -22,7 +22,6 @@
 use crate::diis::Diis;
 use crate::driver::{EnergyBreakdown, Method, ScfOptions, ScfResult};
 use liair_basis::{Basis, Molecule};
-use liair_grid::orbital::density_from_dm_at_points;
 use liair_grid::MolGrid;
 use liair_integrals::{kinetic_matrix, nuclear_matrix, overlap_matrix, JkBuilder};
 use liair_math::codec::{CodecError, Decoder, Encoder};
@@ -37,7 +36,6 @@ const VERSION: u16 = 1;
 
 /// Immutable per-calculation context, deterministic in the inputs.
 struct ScfContext<'a> {
-    basis: &'a Basis,
     n: usize,
     nocc: usize,
     s: Mat,
@@ -47,6 +45,11 @@ struct ScfContext<'a> {
     molgrid: Option<MolGrid>,
     ao_at_pts: Option<Vec<Vec<f64>>>,
     jk_builder: JkBuilder<'a>,
+    /// When set, form the LDA density through `density_from_dm_at_points`
+    /// (which re-evaluates the AOs of this basis) instead of the cached
+    /// values: the reference the cached path is tested against.
+    #[cfg(test)]
+    reference_basis: Option<&'a Basis>,
 }
 
 impl<'a> ScfContext<'a> {
@@ -75,7 +78,6 @@ impl<'a> ScfContext<'a> {
             .as_ref()
             .map(|g| liair_grid::ao_values_at_points(basis, &g.points));
         ScfContext {
-            basis,
             n,
             nocc,
             s,
@@ -85,7 +87,40 @@ impl<'a> ScfContext<'a> {
             molgrid,
             ao_at_pts,
             jk_builder: JkBuilder::new(basis),
+            #[cfg(test)]
+            reference_basis: None,
         }
+    }
+
+    /// Closed-shell density `n(p) = Σ_μν D_μν χ_μ(p) χ_ν(p)` at the
+    /// molecular-grid points, from the AO values cached at construction
+    /// (the geometry is fixed for the whole SCF). Clamped at zero like
+    /// [`liair_grid::density_from_dm_at_points`].
+    fn density_at_points(&self, dm: &Mat) -> Vec<f64> {
+        let grid = self.molgrid.as_ref().expect("LDA context has a grid");
+        #[cfg(test)]
+        if let Some(basis) = self.reference_basis {
+            return liair_grid::density_from_dm_at_points(basis, dm, &grid.points).0;
+        }
+        let aos = self.ao_at_pts.as_ref().expect("LDA context caches AOs");
+        let n = self.n;
+        let mut dchi = vec![0.0; n];
+        (0..grid.len())
+            .map(|p| {
+                for (mu, d) in dchi.iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for (nu, ao) in aos.iter().enumerate() {
+                        acc += dm[(mu, nu)] * ao[p];
+                    }
+                    *d = acc;
+                }
+                let mut val = 0.0;
+                for (d, ao) in dchi.iter().zip(aos) {
+                    val += d * ao[p];
+                }
+                f64::max(val, 0.0)
+            })
+            .collect()
     }
 }
 
@@ -225,7 +260,7 @@ impl<'a> ScfSession<'a> {
                 let grid = ctx.molgrid.as_ref().unwrap();
                 let aos = ctx.ao_at_pts.as_ref().unwrap();
                 let n = ctx.n;
-                let (nvals, _) = density_from_dm_at_points(ctx.basis, &st.density, &grid.points);
+                let nvals = ctx.density_at_points(&st.density);
                 // V_xc matrix: Σ_p w_p v_xc(n_p) χ_μ(p) χ_ν(p).
                 let vxc_pts: Vec<f64> = nvals.iter().map(|&d| lda::lda_vxc(d)).collect();
                 let mut vxc = Mat::zeros(n, n);
@@ -561,6 +596,22 @@ mod tests {
         assert_eq!(resumed.iterations, uninterrupted.iterations);
         assert!(bitwise_mat(&resumed.density, &uninterrupted.density));
         assert!(bitwise_mat(&resumed.c, &uninterrupted.c));
+    }
+
+    #[test]
+    fn lda_density_from_cached_aos_matches_reevaluation() {
+        let opts = ScfOptions::default();
+        for mol in [systems::h2(), systems::water()] {
+            let basis = Basis::sto3g(&mol);
+            let cached = ScfSession::new(&mol, &basis, &opts, Method::RksLda).run_to_completion();
+            let mut reference = ScfSession::new(&mol, &basis, &opts, Method::RksLda);
+            reference.ctx.reference_basis = Some(&basis);
+            let reference = reference.run_to_completion();
+            assert!(cached.converged && reference.converged);
+            assert_eq!(cached.iterations, reference.iterations, "{}", mol.formula());
+            let de = (cached.energy - reference.energy).abs();
+            assert!(de < 1e-12, "{}: |ΔE| = {de:e} Ha", mol.formula());
+        }
     }
 
     #[test]
