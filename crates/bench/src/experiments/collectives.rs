@@ -13,7 +13,7 @@
 //!
 //! 1. **measured** — the runtime's actual message patterns: `run_spmd_cfg`
 //!    executes the same gather under [`CollectiveMode::Flat`] and
-//!    [`CollectiveMode::Hierarchical`], the [`TrafficLog`] records every
+//!    [`CollectiveMode::Hierarchical`], the [`TrafficLog`](liair_runtime::TrafficLog) records every
 //!    wire message, and `liair-bgq`'s router prices the resulting link
 //!    loads — executed pattern, modeled machine;
 //! 2. **modeled** — [`liair_bgq::collectives::gather`] over the paper's

@@ -11,7 +11,7 @@
 //!   final energy bitwise matches an uninterrupted reference run
 //!   (target ≥ 95%);
 //! * aggregate incremental-exchange reuse and FFT plan-cache counters,
-//!   surfaced per job through [`BuildProfile`]-carrying `JobOutput`s.
+//!   surfaced per job through [`BuildProfile`](liair_core::BuildProfile)-carrying `JobOutput`s.
 //!
 //! Writes `BENCH_serve.json`. `fast` shrinks the batch to a few dozen
 //! jobs; the full run drives ≥ 200.

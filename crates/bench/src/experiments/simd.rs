@@ -129,8 +129,8 @@ fn measure_grid(n: usize, levels: &[SimdLevel], reps: usize) -> Vec<KernelRow> {
 }
 
 /// Measured vector/baseline speedup of the half-spectrum energy
-/// contraction — the kernel the autotuner and the BG/Q node-model
-/// calibration care about. Returns `(ratio, lanes)` where `ratio` is the
+/// contraction — the last stage of every pair energy and the kernel the
+/// BG/Q node-model calibration cares about. Returns `(ratio, lanes)` where `ratio` is the
 /// best available level's speedup over the `off` sequential loop and
 /// `lanes` that level's vector width. Cheap: one 16³ half-spectrum —
 /// in-cache, so the ratio reflects the compute-bound kernel the node

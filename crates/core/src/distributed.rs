@@ -24,7 +24,7 @@ use liair_grid::{PoissonSolver, RealGrid};
 /// Deterministic: every rank derives the same chunk assignment from the
 /// shared pair list, so no task-coordination messages are needed — only
 /// the final gather. Each rank owns one grow-once pair-density scratch
-/// and runs the autotuned pair kernel, so the per-pair loop is
+/// and runs the engine's fixed pair kernel, so the per-pair loop is
 /// allocation-free in steady state — the same hot path as the threaded
 /// executor.
 pub fn distributed_exchange(

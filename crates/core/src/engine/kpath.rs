@@ -328,7 +328,7 @@ impl ExchangeEngine<'_> {
         let aos = &setup.geom.aos;
         let npts = self.grid.len();
         let dvol = self.grid.dvol();
-        let level = self.simd_choice();
+        let level = self.simd;
         let solver = self.full_solver();
         let eval = |sc: &mut KTaskScratch, t: usize| -> (Vec<f64>, KernelTimings, usize) {
             let (j, nu) = tasks[t];

@@ -12,7 +12,9 @@
 //!    (incremental), or the `(occupied j, AO ν)` K-task list;
 //! 2. **execute** — an [`ExecBackend`]: serial, rayon, or message-passing
 //!    over `liair-runtime` ranks, all running the *identical* per-chunk
-//!    kernel ([`autotune::KernelChoice`] resolved in exactly one place);
+//!    kernel: a full two-pair chunk through the packed c2c transform, an
+//!    odd tail pair through the r2c single, at the engine's one resolved
+//!    [`SimdLevel`];
 //! 3. **accumulate** — per-pair contributions reassembled in canonical
 //!    pair-list order and summed sequentially, or per-task K columns
 //!    accumulated in canonical task order — so every backend produces the
@@ -25,12 +27,10 @@
 //! allocations). The public entry points in `hfx`, `operator`,
 //! `distributed`, and `incremental` are thin configurations of this type.
 
-pub mod autotune;
 pub(crate) mod kpath;
 pub(crate) mod pipeline;
 pub mod profile;
 
-pub use autotune::{kernel_choice_for, KernelChoice, PairPath};
 pub use kpath::{KBuildOutcome, KGeometry};
 pub use profile::BuildProfile;
 // The collective/fault types appear in the builder's public API;
@@ -106,33 +106,16 @@ pub struct CommTuning {
     pub fault: Option<FaultPlan>,
 }
 
-impl CommTuning {
-    /// The environment-driven default: `LIAIR_COLLECTIVES` (`flat` |
-    /// `hier`/`hierarchical`, default hierarchical), `LIAIR_PIPELINE`
-    /// (`off`/`staged` | `on`/`pipelined`, default pipelined) and the
-    /// `LIAIR_FAULT_SEED` fault matrix knob.
-    pub fn from_env() -> Self {
-        let collectives = match std::env::var("LIAIR_COLLECTIVES") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("flat") => CollectiveMode::Flat,
-            _ => CollectiveMode::Hierarchical,
-        };
-        let pipeline = match std::env::var("LIAIR_PIPELINE") {
-            Ok(v) if ["off", "staged", "0"].contains(&v.trim().to_ascii_lowercase().as_str()) => {
-                PipelineMode::Staged
-            }
-            _ => PipelineMode::Pipelined,
-        };
+impl Default for CommTuning {
+    /// Hierarchical collectives, pipelined exec/reduce, and the fault
+    /// plan of `LIAIR_FAULT_SEED` (none when unset). The builder's
+    /// `.collectives(…)` and `.pipeline(…)` select the other settings.
+    fn default() -> Self {
         CommTuning {
-            collectives,
-            pipeline,
+            collectives: CollectiveMode::Hierarchical,
+            pipeline: PipelineMode::Pipelined,
             fault: FaultPlan::from_env(),
         }
-    }
-}
-
-impl Default for CommTuning {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -147,13 +130,14 @@ pub struct ExchangeEngine<'a> {
     /// solve on their own per-shape cached solvers).
     solver: Option<&'a PoissonSolver>,
     backend: ExecBackend,
-    choice: Option<KernelChoice>,
+    /// SIMD level of every kernel this engine runs.
+    simd: SimdLevel,
     tuning: CommTuning,
 }
 
 /// Fluent, validated construction of an [`ExchangeEngine`] — the one
-/// place every knob (backend, kernel pinning, pair path, SIMD level,
-/// collective family, fault plan) composes. [`EngineBuilder::build`]
+/// place every knob (backend, SIMD level, collective family, exec/reduce
+/// schedule, fault plan) composes. [`EngineBuilder::build`]
 /// rejects inconsistent configurations as [`Error::InvalidConfig`]
 /// instead of letting them panic mid-build.
 #[derive(Debug, Clone, Copy)]
@@ -161,8 +145,6 @@ pub struct EngineBuilder<'a> {
     grid: &'a RealGrid,
     solver: Option<&'a PoissonSolver>,
     backend: ExecBackend,
-    choice: Option<KernelChoice>,
-    path: Option<PairPath>,
     simd: Option<SimdLevel>,
     tuning: CommTuning,
 }
@@ -173,10 +155,8 @@ impl<'a> EngineBuilder<'a> {
             grid,
             solver,
             backend: ExecBackend::Rayon,
-            choice: None,
-            path: None,
             simd: None,
-            tuning: CommTuning::from_env(),
+            tuning: CommTuning::default(),
         }
     }
 
@@ -186,23 +166,8 @@ impl<'a> EngineBuilder<'a> {
         self
     }
 
-    /// Pin the whole kernel choice (pair path + SIMD level) instead of
-    /// autotuning. Overrides [`EngineBuilder::pair_path`] /
-    /// [`EngineBuilder::simd`].
-    pub fn kernel_choice(mut self, choice: KernelChoice) -> Self {
-        self.choice = Some(choice);
-        self
-    }
-
-    /// Pin only the pair path (single / batched); the SIMD level stays
-    /// autotuned unless [`EngineBuilder::simd`] pins it too.
-    pub fn pair_path(mut self, path: PairPath) -> Self {
-        self.path = Some(path);
-        self
-    }
-
-    /// Pin only the SIMD level; the pair path stays autotuned unless
-    /// [`EngineBuilder::pair_path`] pins it too.
+    /// Run every kernel at this SIMD level instead of the process-wide
+    /// [`simd::level()`] (the `LIAIR_SIMD` override, else detection).
     pub fn simd(mut self, level: SimdLevel) -> Self {
         self.simd = Some(level);
         self
@@ -246,36 +211,11 @@ impl<'a> EngineBuilder<'a> {
         if let Some(plan) = self.tuning.fault {
             plan.validate().map_err(Error::Comm)?;
         }
-        if self.choice.is_some() && (self.path.is_some() || self.simd.is_some()) {
-            return Err(Error::InvalidConfig(
-                "kernel_choice() already pins path and SIMD; drop pair_path()/simd()".into(),
-            ));
-        }
-        // A partially-pinned kernel resolves the other half at autotune
-        // time; a fully-pinned pair (path, simd) collapses to a choice.
-        let choice = match (self.choice, self.path, self.simd) {
-            (Some(c), _, _) => Some(c),
-            (None, Some(path), Some(simd)) => Some(KernelChoice { path, simd }),
-            (None, Some(path), None) => Some(KernelChoice {
-                path,
-                simd: simd::level(),
-            }),
-            (None, None, Some(level)) => {
-                let path = match (autotune::env_pair_path(), self.solver) {
-                    (Some(p), _) => p,
-                    (None, Some(solver)) => kernel_choice_for(solver, self.grid).path,
-                    // Patched-only engines never consult the pair path.
-                    (None, None) => PairPath::Batched,
-                };
-                Some(KernelChoice { path, simd: level })
-            }
-            (None, None, None) => None,
-        };
         Ok(ExchangeEngine {
             grid: self.grid,
             solver: self.solver,
             backend: self.backend,
-            choice,
+            simd: self.simd.unwrap_or_else(simd::level),
             tuning: self.tuning,
         })
     }
@@ -333,19 +273,21 @@ fn form_pair_density(level: SimdLevel, out: &mut [f64], phi_i: &[f64], phi_j: &[
 }
 
 /// Evaluate one chunk of ≤ 2 pairs, returning the weighted contribution
-/// `−w (ij|ij)` of each slot (second slot 0 for an odd tail). Every
-/// backend — serial, rayon, message-passing, incremental dirty-set — runs
-/// this identical floating-point path.
+/// `−w (ij|ij)` of each slot (second slot 0 for an odd tail). A full
+/// chunk runs both pairs through one packed c2c transform; the tail pair
+/// of an odd list runs the r2c single. Every backend — serial, rayon,
+/// message-passing, incremental dirty-set — runs this identical
+/// floating-point path. A packed pair's bits depend on its chunk partner,
+/// which is why the chunk, not the pair, is the distribution unit.
 fn eval_pair_chunk(
     sc: &mut HfxScratch,
     chunk: &[Pair],
-    choice: KernelChoice,
+    level: SimdLevel,
     solver: &PoissonSolver,
     orbitals: &[Vec<f64>],
 ) -> (f64, f64) {
-    let level = choice.simd;
     match chunk {
-        [p, q] if choice.path == PairPath::Batched => {
+        [p, q] => {
             form_pair_density(
                 level,
                 &mut sc.rho_a,
@@ -362,34 +304,31 @@ fn eval_pair_chunk(
                 solver.exchange_pair_energy_batched_with(level, &sc.rho_a, &sc.rho_b, &mut sc.ws);
             (-p.weight * ea, -q.weight * eb)
         }
-        _ => {
-            let mut out = [0.0, 0.0];
-            for (slot, p) in chunk.iter().enumerate() {
-                form_pair_density(
-                    level,
-                    &mut sc.rho_a,
-                    &orbitals[p.i as usize],
-                    &orbitals[p.j as usize],
-                );
-                out[slot] =
-                    -p.weight * solver.exchange_pair_energy_with(level, &sc.rho_a, &mut sc.ws);
-            }
-            (out[0], out[1])
+        [p] => {
+            form_pair_density(
+                level,
+                &mut sc.rho_a,
+                &orbitals[p.i as usize],
+                &orbitals[p.j as usize],
+            );
+            let e = solver.exchange_pair_energy_with(level, &sc.rho_a, &mut sc.ws);
+            (-p.weight * e, 0.0)
         }
+        _ => unreachable!("a pair chunk holds one or two pairs"),
     }
 }
 
 impl<'a> ExchangeEngine<'a> {
     /// Engine over `grid`/`solver` with the rayon backend (the
-    /// shared-memory production default) and the autotuned kernel choice.
+    /// shared-memory production default) at the process-wide SIMD level.
     /// Shorthand for `ExchangeEngine::builder(grid, solver).build()`.
     pub fn new(grid: &'a RealGrid, solver: &'a PoissonSolver) -> Self {
         ExchangeEngine {
             grid,
             solver: Some(solver),
             backend: ExecBackend::Rayon,
-            choice: None,
-            tuning: CommTuning::from_env(),
+            simd: simd::level(),
+            tuning: CommTuning::default(),
         }
     }
 
@@ -402,13 +341,13 @@ impl<'a> ExchangeEngine<'a> {
             grid,
             solver: None,
             backend: ExecBackend::Rayon,
-            choice: None,
-            tuning: CommTuning::from_env(),
+            simd: simd::level(),
+            tuning: CommTuning::default(),
         }
     }
 
     /// Fluent, validated configuration — the front door for every knob
-    /// (backend, kernel pinning, collective family, fault plan).
+    /// (backend, SIMD level, collective family, fault plan).
     pub fn builder(grid: &'a RealGrid, solver: &'a PoissonSolver) -> EngineBuilder<'a> {
         EngineBuilder::new(grid, Some(solver))
     }
@@ -457,21 +396,6 @@ impl<'a> ExchangeEngine<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Kernel choice of the full-cell energy path: pinned, or autotuned
-    /// per grid shape (cached for the process lifetime).
-    fn energy_choice(&self) -> Result<KernelChoice> {
-        match self.choice {
-            Some(c) => Ok(c),
-            None => Ok(kernel_choice_for(self.try_full_solver()?, self.grid)),
-        }
-    }
-
-    /// SIMD level of the paths that have no batched variant (K tasks,
-    /// patched pairs): pinned, or the runtime-detected level.
-    pub(crate) fn simd_choice(&self) -> SimdLevel {
-        self.choice.map(|c| c.simd).unwrap_or_else(simd::level)
     }
 
     /// Execute stage: run `npairs.div_ceil(2)` chunks on the configured
@@ -692,7 +616,7 @@ impl<'a> ExchangeEngine<'a> {
             self.validate_orbitals(orbitals)?;
         }
         let plan_window = profile::PlanCacheWindow::open();
-        let choice = self.energy_choice()?;
+        let level = self.simd;
         let n = self.grid.len();
         let solver = self.try_full_solver()?;
         let t0 = Instant::now();
@@ -702,7 +626,7 @@ impl<'a> ExchangeEngine<'a> {
             |sc, ci| {
                 let grew = sc.ensure(n) as usize;
                 let chunk = &pairs[2 * ci..(2 * ci + 2).min(pairs.len())];
-                let (a, b) = eval_pair_chunk(sc, chunk, choice, solver, orbitals);
+                let (a, b) = eval_pair_chunk(sc, chunk, level, solver, orbitals);
                 ChunkOut {
                     a,
                     b,
@@ -764,7 +688,7 @@ impl<'a> ExchangeEngine<'a> {
                 infos.len()
             )));
         }
-        let level = self.simd_choice();
+        let level = self.simd;
         let h = self.grid.spacing().x;
         let grid = self.grid;
         let plist = &pairs.pairs;
@@ -831,7 +755,7 @@ impl<'a> ExchangeEngine<'a> {
         scratch: &mut EngineScratch,
     ) -> Result<HfxResult> {
         self.validate_orbitals(orbitals)?;
-        let choice = self.energy_choice()?;
+        let solver = self.try_full_solver()?;
         let npairs = pairs.len();
         let mut profile = BuildProfile::default();
         // Stats snapshots are plain stack copies — the zero-alloc
@@ -842,10 +766,9 @@ impl<'a> ExchangeEngine<'a> {
         profile.steady_allocs += (npairs > scratch.contribs.capacity()) as usize;
         scratch.contribs.clear();
         scratch.contribs.resize(npairs, 0.0);
-        let solver = self.try_full_solver()?;
         for ci in 0..npairs.div_ceil(2) {
             let chunk = &pairs.pairs[2 * ci..(2 * ci + 2).min(npairs)];
-            let (a, b) = eval_pair_chunk(&mut scratch.pair, chunk, choice, solver, orbitals);
+            let (a, b) = eval_pair_chunk(&mut scratch.pair, chunk, self.simd, solver, orbitals);
             scratch.contribs[2 * ci] = a;
             if 2 * ci + 1 < npairs {
                 scratch.contribs[2 * ci + 1] = b;

@@ -37,12 +37,23 @@
 //!    N builds, bounding worst-case drift regardless of the tolerance.
 //!
 //! `eps_inc = 0` disables reuse entirely: every pair is dirty and the
-//! build is exactly the from-scratch one (bit-identical for the operator
-//! path — property-tested).
+//! build is exactly the from-scratch one, bit-identical on both paths
+//! (property-tested).
+//!
+//! A build that reuses part of the cache is exact only up to rounding,
+//! even when every reused orbital is bitwise unchanged. The engine packs
+//! two pairs into one transform, so a pair's contribution depends in its
+//! last bits on its chunk partner. The dirty recompute chunks the
+//! compacted dirty list, whose partners differ from the full list's, and
+//! the energy is summed as clean part plus dirty part rather than in
+//! pair-list order. The energy of such a build matches a from-scratch
+//! build to rounding (≤ 2e-15 relative on the 16³ fixtures of
+//! `incremental_props`, which pins it within 1e-12).
 
-use crate::engine::{BuildProfile, ExchangeEngine, ExecBackend, KGeometry, KernelChoice};
+use crate::engine::{BuildProfile, ExchangeEngine, ExecBackend, KGeometry};
 use crate::screening::{OrbitalInfo, Pair, PairList};
 use liair_grid::{PoissonSolver, RealGrid};
+use liair_math::simd::SimdLevel;
 use liair_math::{Mat, Vec3};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -210,9 +221,9 @@ pub struct IncrementalExchange {
     pub totals: IncStats,
     /// Per-phase instrumentation of the most recent build (either path).
     pub last_profile: BuildProfile,
-    /// Pinned kernel choice for the dirty recompute (None = autotune),
-    /// see [`IncrementalExchange::force_kernel_choice`].
-    kernel_choice: Option<KernelChoice>,
+    /// Pinned SIMD level of the dirty recompute (None = the engine
+    /// default), see [`IncrementalExchange::force_simd`].
+    simd: Option<SimdLevel>,
     /// Execution backend of the dirty recompute (None = rayon). The serve
     /// scheduler points this at its rank-pool lease
     /// (`ExecBackend::Comm { nranks, .. }`); engine bit-identity across
@@ -248,7 +259,7 @@ impl IncrementalExchange {
             k: None,
             totals: IncStats::default(),
             last_profile: BuildProfile::default(),
-            kernel_choice: None,
+            simd: None,
             backend: None,
             fp_scratch: Vec::new(),
             dirty_orb: Vec::new(),
@@ -263,20 +274,20 @@ impl IncrementalExchange {
         self.k = None;
     }
 
-    /// Pin the kernel (pair path, SIMD level) of the dirty recompute
-    /// instead of autotuning — needed when one process must compare an
-    /// incremental build bit-for-bit against an engine build running a
-    /// specific choice. Invalidates the cache: contributions computed
-    /// under a different kernel would no longer be bit-compatible.
-    pub fn force_kernel_choice(&mut self, choice: KernelChoice) {
-        if self.kernel_choice != Some(choice) {
-            self.kernel_choice = Some(choice);
+    /// Pin the SIMD level of the dirty recompute instead of the
+    /// process-wide default — needed when one process must compare an
+    /// incremental build bit-for-bit against an engine build at a
+    /// specific level. Invalidates the cache: contributions computed at
+    /// a different level would no longer be bit-compatible.
+    pub fn force_simd(&mut self, level: SimdLevel) {
+        if self.simd != Some(level) {
+            self.simd = Some(level);
             self.invalidate();
         }
     }
 
     /// Route the dirty recompute through `backend` instead of the default
-    /// rayon pool. Unlike [`IncrementalExchange::force_kernel_choice`]
+    /// rayon pool. Unlike [`IncrementalExchange::force_simd`]
     /// this does *not* invalidate the cache: every backend produces
     /// bit-identical contributions (the engine's canonical-order
     /// guarantee), so cached entries remain exact.
@@ -285,18 +296,18 @@ impl IncrementalExchange {
     }
 
     /// The configured engine over `grid`/`solver` (rayon backend unless
-    /// one was set, pinned kernel choice when one was forced).
+    /// one was set, pinned SIMD level when one was forced).
     fn engine<'a>(&self, grid: &'a RealGrid, solver: &'a PoissonSolver) -> ExchangeEngine<'a> {
         let mut builder = ExchangeEngine::builder(grid, solver);
-        if let Some(c) = self.kernel_choice {
-            builder = builder.kernel_choice(c);
+        if let Some(level) = self.simd {
+            builder = builder.simd(level);
         }
         if let Some(b) = self.backend {
             builder = builder.backend(b);
         }
         builder
             .build()
-            .expect("a backend over an optional pinned kernel is always a valid configuration")
+            .expect("a backend over an optional pinned SIMD level is always a valid configuration")
     }
 
     /// Incremental twin of [`crate::hfx::exchange_energy`]: clean pairs
@@ -372,9 +383,12 @@ impl IncrementalExchange {
             }
         }
 
-        // Recompute the dirty pairs through the engine (rayon backend,
-        // same chunking and kernel choice as a from-scratch build, so the
-        // dirty contributions are bit-identical to that build's).
+        // Recompute the dirty pairs through the engine. The chunks are
+        // formed over the compacted dirty list, so unless every pair is
+        // dirty a packed pair may get a different partner than in a
+        // from-scratch build and its contribution may differ in the last
+        // bits (see the module docs). A full build chunks the whole list
+        // exactly as the from-scratch build does and is bit-identical.
         let n_dirty = self.dirty_pairs.len();
         let mut profile = BuildProfile::default();
         let t_dirty0 = Instant::now();

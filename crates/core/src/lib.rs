@@ -28,8 +28,9 @@
 //!
 //! All of the above are thin configurations of one staged driver:
 //! [`engine::ExchangeEngine`] owns the canonical build pipeline (pair
-//! source → execute backend → ordered accumulate), the autotuned kernel
-//! choice, and the per-phase [`engine::BuildProfile`] instrumentation.
+//! source → execute backend → ordered accumulate), the fixed pair kernel
+//! (packed two-pair chunks, an r2c single for an odd tail), and the
+//! per-phase [`engine::BuildProfile`] instrumentation.
 
 #![allow(clippy::needless_range_loop)] // index loops are the clearer idiom in this numeric code
 
@@ -54,7 +55,7 @@ pub use domain::{
 };
 pub use engine::{
     BuildProfile, CollectiveMode, CommTuning, EngineBuilder, EngineScratch, ExchangeEngine,
-    ExecBackend, FaultPlan, KBuildOutcome, KGeometry, KernelChoice, PairPath, PipelineMode,
+    ExecBackend, FaultPlan, KBuildOutcome, KGeometry, PipelineMode,
 };
 pub use error::{Error, Result};
 pub use hfx::{exchange_energy, exchange_energy_patched, HfxResult};

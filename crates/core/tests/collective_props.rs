@@ -1,9 +1,8 @@
 //! Property tests of the collective runtime's bitwise contract:
 //!
 //! * the hierarchical (binomial-tree) gather and the flat root gather are
-//!   pure data movement, so for **any** kernel choice (SIMD level × pair
-//!   path), rank count, and workload the two collective families produce
-//!   bit-identical energies;
+//!   pure data movement, so for **any** SIMD level, rank count, and
+//!   workload the two collective families produce bit-identical energies;
 //! * **any** seeded fault schedule — drops, delays, duplicates, stalled
 //!   ranks — still yields the bit-identical result, run after run:
 //!   retransmission recovers payloads verbatim, and chunks re-issued for
@@ -11,12 +10,11 @@
 
 use liair_core::screening::{build_pair_list, OrbitalInfo, PairList};
 use liair_core::{
-    BalanceStrategy, CollectiveMode, ExchangeEngine, ExecBackend, FaultPlan, KernelChoice,
-    PairPath, PipelineMode,
+    BalanceStrategy, CollectiveMode, ExchangeEngine, ExecBackend, FaultPlan, PipelineMode,
 };
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
-use liair_math::simd::available_levels;
+use liair_math::simd::{available_levels, SimdLevel};
 use liair_math::Vec3;
 use proptest::prelude::*;
 
@@ -56,32 +54,28 @@ fn setup(seed: u64, norb: usize) -> (RealGrid, PoissonSolver, Vec<Vec<f64>>, Pai
     (grid, solver, fields, pairs)
 }
 
-/// Pick a runnable kernel choice from two free indices.
-fn choice(level_idx: usize, path_idx: usize) -> KernelChoice {
+/// Pick a runnable SIMD level from a free index.
+fn level(level_idx: usize) -> SimdLevel {
     let levels = available_levels();
-    KernelChoice {
-        path: [PairPath::Single, PairPath::Batched][path_idx % 2],
-        simd: levels[level_idx % levels.len()],
-    }
+    levels[level_idx % levels.len()]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Flat and hierarchical collectives agree to the last bit with the
-    /// serial reference for every kernel choice, rank count, and
+    /// serial reference for every SIMD level, rank count, and
     /// workload — the gathers move bits, they never combine them.
     #[test]
     fn flat_and_hierarchical_are_bitwise_equal(
         wseed in 0u64..1000,
         level_idx in 0usize..4,
-        path_idx in 0usize..2,
         nranks in 1usize..6,
     ) {
         let (grid, solver, fields, pairs) = setup(wseed, 3);
-        let c = choice(level_idx, path_idx);
+        let c = level(level_idx);
         let serial = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(c)
+            .simd(c)
             .no_faults()
             .backend(ExecBackend::Serial)
             .build()
@@ -89,7 +83,7 @@ proptest! {
             .energy(&fields, &pairs);
         for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
             let comm = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(c)
+                .simd(c)
                 .no_faults()
                 .backend(ExecBackend::Comm { nranks, strategy: BalanceStrategy::GreedyLpt })
                 .collectives(mode)
@@ -148,7 +142,7 @@ proptest! {
 
     /// The pipelined overlap backend is bit-identical to the staged
     /// gather and the serial reference for every workload, rank count,
-    /// kernel choice, and (optional) fault seed: dynamic stealing and
+    /// SIMD level, and (optional) fault seed: dynamic stealing and
     /// out-of-order streamed arrival never change the canonical
     /// reassembly, only who computed each chunk and when it landed.
     #[test]
@@ -157,15 +151,14 @@ proptest! {
         fseed in 0u64..10_000,
         faulty in 0usize..2,
         level_idx in 0usize..4,
-        path_idx in 0usize..2,
         nranks in 1usize..6,
         norb in 2usize..5,
     ) {
         let (grid, solver, fields, pairs) = setup(wseed, norb);
-        let c = choice(level_idx, path_idx);
+        let c = level(level_idx);
         let build = |backend, mode| {
             let mut b = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(c)
+                .simd(c)
                 .backend(backend)
                 .pipeline(mode)
                 .no_faults();

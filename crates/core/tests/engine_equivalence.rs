@@ -1,25 +1,29 @@
 //! Cross-driver equivalence suite for the staged [`ExchangeEngine`]: every
 //! execution backend (serial, rayon, message-passing `Comm` under both
-//! collective families) must produce **bit-identical** energies and K
-//! matrices for every runnable SIMD level and both pair-kernel paths, and
-//! the incremental driver with `eps_inc = 0` must reproduce the
-//! from-scratch build exactly. The distributed backend must additionally
-//! hold the guarantee *under injected faults* — dropped, delayed,
-//! duplicated messages and stalled ranks — because retransmission and
-//! chunk re-issue replay the identical kernel.
+//! collective families and both exec/reduce schedules) must produce
+//! **bit-identical** energies and K matrices for every runnable SIMD
+//! level, and the incremental driver with `eps_inc = 0` must reproduce
+//! the from-scratch build exactly. The energy fixtures come in an even
+//! and an odd pair count: full chunks run the packed two-pair kernel, and
+//! only an odd list's last pair runs the r2c single, so the odd fixture
+//! is what keeps the single kernel under the bitwise guarantee. The
+//! distributed backend must additionally hold the guarantee *under
+//! injected faults* — dropped, delayed, duplicated messages and stalled
+//! ranks — because retransmission and chunk re-issue replay the
+//! identical kernel.
 //!
-//! The kernel choice is pinned through [`EngineBuilder::kernel_choice`] /
-//! [`IncrementalExchange::force_kernel_choice`] rather than `LIAIR_SIMD`
-//! (the env override is latched once per process), so one test binary can
-//! sweep all levels. CI additionally runs the whole binary under a
-//! `LIAIR_SIMD` matrix and a `LIAIR_FAULT_SEED` matrix to exercise the
-//! env-driven defaults.
+//! The SIMD level is pinned through [`EngineBuilder::simd`] /
+//! [`IncrementalExchange::force_simd`] rather than `LIAIR_SIMD` (the env
+//! override is latched once per process), so one test binary can sweep
+//! all levels. CI additionally runs the whole binary under a `LIAIR_SIMD`
+//! matrix and a `LIAIR_FAULT_SEED` matrix to exercise the env-driven
+//! defaults.
 
 use liair_basis::{systems, Basis, Cell};
 use liair_core::screening::{build_pair_list, OrbitalInfo, PairList};
 use liair_core::{
     BalanceStrategy, CollectiveMode, ExchangeEngine, ExecBackend, FaultPlan, IncrementalExchange,
-    KernelChoice, PairPath, PipelineMode,
+    PipelineMode,
 };
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
@@ -74,68 +78,89 @@ fn synthetic_setup(
     (grid, solver, fields, infos, pairs)
 }
 
-/// Every (SIMD level, pair path) combination runnable on this machine.
-fn kernel_choices() -> Vec<KernelChoice> {
-    let mut out = Vec::new();
-    for simd in available_levels() {
-        for path in [PairPath::Single, PairPath::Batched] {
-            out.push(KernelChoice { path, simd });
-        }
-    }
-    out
-}
-
 const MODES: [CollectiveMode; 2] = [CollectiveMode::Flat, CollectiveMode::Hierarchical];
+const PIPELINES: [PipelineMode; 2] = [PipelineMode::Staged, PipelineMode::Pipelined];
+
+/// Orbital counts whose unscreened pair lists (`n(n+1)/2` pairs) have an
+/// even and an odd length; [`energy_fixtures`] asserts the parity.
+const EVEN_ODD_NORB: [usize; 2] = [4, 5];
+
+/// The even- and odd-length energy fixtures on an `n³` grid.
+#[allow(clippy::type_complexity)]
+fn energy_fixtures(
+    n: usize,
+) -> Vec<(
+    RealGrid,
+    PoissonSolver,
+    Vec<Vec<f64>>,
+    Vec<OrbitalInfo>,
+    PairList,
+)> {
+    EVEN_ODD_NORB
+        .iter()
+        .zip([0, 1])
+        .map(|(&norb, parity)| {
+            let fx = synthetic_setup(norb, n);
+            assert_eq!(fx.4.len() % 2, parity, "fixture parity drifted");
+            fx
+        })
+        .collect()
+}
 
 #[test]
 fn energy_bit_identical_across_backends() {
-    let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 20);
-    for choice in kernel_choices() {
-        let base = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(choice)
-            .no_faults();
-        let serial = base
-            .backend(ExecBackend::Serial)
-            .build()
-            .unwrap()
-            .energy(&fields, &pairs);
-        assert!(serial.energy < 0.0);
-        assert!(serial.profile.is_populated());
+    for (grid, solver, fields, _infos, pairs) in energy_fixtures(20) {
+        let npairs = pairs.len();
+        for level in available_levels() {
+            let base = ExchangeEngine::builder(&grid, &solver)
+                .simd(level)
+                .no_faults();
+            let serial = base
+                .backend(ExecBackend::Serial)
+                .build()
+                .unwrap()
+                .energy(&fields, &pairs);
+            assert!(serial.energy < 0.0);
+            assert!(serial.profile.is_populated());
 
-        let rayon = base
-            .backend(ExecBackend::Rayon)
-            .build()
-            .unwrap()
-            .energy(&fields, &pairs);
-        assert_eq!(
-            serial.energy.to_bits(),
-            rayon.energy.to_bits(),
-            "serial vs rayon differ for {choice:?}: {} vs {}",
-            serial.energy,
-            rayon.energy
-        );
+            let rayon = base
+                .backend(ExecBackend::Rayon)
+                .build()
+                .unwrap()
+                .energy(&fields, &pairs);
+            assert_eq!(
+                serial.energy.to_bits(),
+                rayon.energy.to_bits(),
+                "{npairs} pairs: serial vs rayon differ at {level:?}: {} vs {}",
+                serial.energy,
+                rayon.energy
+            );
 
-        for nranks in [1, 3, 4] {
-            for strategy in [
-                BalanceStrategy::RoundRobin,
-                BalanceStrategy::Block,
-                BalanceStrategy::GreedyLpt,
-            ] {
-                for mode in MODES {
-                    let comm = base
-                        .backend(ExecBackend::Comm { nranks, strategy })
-                        .collectives(mode)
-                        .build()
-                        .unwrap()
-                        .energy(&fields, &pairs);
-                    assert_eq!(
-                        serial.energy.to_bits(),
-                        comm.energy.to_bits(),
-                        "serial vs comm(nranks={nranks}, {strategy:?}, {mode:?}) differ \
-                         for {choice:?}: {} vs {}",
-                        serial.energy,
-                        comm.energy
-                    );
+            for nranks in [1, 3, 4] {
+                for strategy in [
+                    BalanceStrategy::RoundRobin,
+                    BalanceStrategy::Block,
+                    BalanceStrategy::GreedyLpt,
+                ] {
+                    for mode in MODES {
+                        for pipeline in PIPELINES {
+                            let comm = base
+                                .backend(ExecBackend::Comm { nranks, strategy })
+                                .collectives(mode)
+                                .pipeline(pipeline)
+                                .build()
+                                .unwrap()
+                                .energy(&fields, &pairs);
+                            assert_eq!(
+                                serial.energy.to_bits(),
+                                comm.energy.to_bits(),
+                                "{npairs} pairs: serial vs comm(nranks={nranks}, {strategy:?}, \
+                             {mode:?}, {pipeline:?}) differ at {level:?}: {} vs {}",
+                                serial.energy,
+                                comm.energy
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -149,9 +174,9 @@ fn energy_bit_identical_under_injected_faults() {
     // messages carry the same payloads, and re-issued chunks replay the
     // identical kernel.
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 16);
-    let choice = kernel_choices()[0];
+    let level = available_levels()[0];
     let clean = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
+        .simd(level)
         .no_faults()
         .backend(ExecBackend::Serial)
         .build()
@@ -161,7 +186,7 @@ fn energy_bit_identical_under_injected_faults() {
         for plan in [FaultPlan::messages_only(seed), FaultPlan::with_stalls(seed)] {
             for mode in MODES {
                 let faulty = ExchangeEngine::builder(&grid, &solver)
-                    .kernel_choice(choice)
+                    .simd(level)
                     .backend(ExecBackend::Comm {
                         nranks: 4,
                         strategy: BalanceStrategy::GreedyLpt,
@@ -199,9 +224,9 @@ fn pipelined_overlap_bit_identical_under_fault_matrix() {
     // serial reference put it.
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 16);
     let nchunks = pairs.len().div_ceil(2);
-    let choice = kernel_choices()[0];
+    let level = available_levels()[0];
     let serial = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
+        .simd(level)
         .no_faults()
         .backend(ExecBackend::Serial)
         .build()
@@ -210,7 +235,7 @@ fn pipelined_overlap_bit_identical_under_fault_matrix() {
     for seed in [7u64, 13, 42] {
         for mode in [PipelineMode::Staged, PipelineMode::Pipelined] {
             let out = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(choice)
+                .simd(level)
                 .backend(ExecBackend::Comm {
                     nranks: 4,
                     strategy: BalanceStrategy::GreedyLpt,
@@ -290,12 +315,8 @@ fn h2_setup() -> (Basis, liair_math::Mat, usize, RealGrid, PoissonSolver) {
 fn k_operator_bit_identical_across_backends() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
     for simd in available_levels() {
-        let choice = KernelChoice {
-            path: PairPath::Single,
-            simd,
-        };
         let base = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(choice)
+            .simd(simd)
             .no_faults();
         let serial = base
             .backend(ExecBackend::Serial)
@@ -337,12 +358,9 @@ fn k_operator_bit_identical_across_backends() {
 #[test]
 fn k_operator_bit_identical_under_injected_faults() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
-    let choice = KernelChoice {
-        path: PairPath::Single,
-        simd: available_levels()[0],
-    };
+    let level = available_levels()[0];
     let clean = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
+        .simd(level)
         .no_faults()
         .backend(ExecBackend::Serial)
         .build()
@@ -351,7 +369,7 @@ fn k_operator_bit_identical_under_injected_faults() {
     for plan in [FaultPlan::messages_only(42), FaultPlan::with_stalls(42)] {
         for mode in MODES {
             let faulty = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(choice)
+                .simd(level)
                 .backend(ExecBackend::Comm {
                     nranks: 3,
                     strategy: BalanceStrategy::RoundRobin,
@@ -371,42 +389,46 @@ fn k_operator_bit_identical_under_injected_faults() {
 }
 
 #[test]
-fn incremental_eps0_energy_bit_identical_per_kernel() {
-    let (grid, solver, fields, infos, pairs) = synthetic_setup(4, 20);
-    for choice in kernel_choices() {
-        // The incremental driver executes dirty work on the default Rayon
-        // backend, so that is the reference.
-        let reference = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(choice)
-            .build()
-            .unwrap()
-            .energy(&fields, &pairs);
+fn incremental_eps0_energy_bit_identical_per_level() {
+    for (grid, solver, fields, infos, pairs) in energy_fixtures(20) {
+        for level in available_levels() {
+            // The incremental driver executes dirty work on the default
+            // Rayon backend, so that is the reference.
+            let reference = ExchangeEngine::builder(&grid, &solver)
+                .simd(level)
+                .build()
+                .unwrap()
+                .energy(&fields, &pairs);
 
-        let mut inc = IncrementalExchange::new(0.0, 0);
-        inc.force_kernel_choice(choice);
-        // Cold build: everything dirty.
-        let cold = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        assert_eq!(
-            reference.energy.to_bits(),
-            cold.energy.to_bits(),
-            "cold incremental differs for {choice:?}"
-        );
-        // Rebuild on identical fields: eps_inc = 0 must recompute, not reuse.
-        let rebuilt = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
-        assert_eq!(rebuilt.inc.pairs_reused, 0);
-        assert_eq!(
-            reference.energy.to_bits(),
-            rebuilt.energy.to_bits(),
-            "eps_inc=0 rebuild differs for {choice:?}"
-        );
+            let mut inc = IncrementalExchange::new(0.0, 0);
+            inc.force_simd(level);
+            // Cold build: everything dirty.
+            let cold = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+            assert_eq!(
+                reference.energy.to_bits(),
+                cold.energy.to_bits(),
+                "{} pairs: cold incremental differs at {level:?}",
+                pairs.len()
+            );
+            // Rebuild on identical fields: eps_inc = 0 must recompute, not
+            // reuse.
+            let rebuilt = inc.exchange_energy(&grid, &solver, &fields, &infos, &pairs);
+            assert_eq!(rebuilt.inc.pairs_reused, 0);
+            assert_eq!(
+                reference.energy.to_bits(),
+                rebuilt.energy.to_bits(),
+                "{} pairs: eps_inc=0 rebuild differs at {level:?}",
+                pairs.len()
+            );
+        }
     }
 }
 
 #[test]
 fn public_wrappers_match_pinned_default_engine() {
     // The thin public entry points must equal an engine configured the way
-    // the wrappers configure it — same autotuned/default kernel choice,
-    // same backend — down to the last bit.
+    // the wrappers configure it — same default SIMD level, same backend —
+    // down to the last bit.
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(3, 20);
     let wrapper = liair_core::exchange_energy(&grid, &solver, &fields, &pairs);
     let engine = ExchangeEngine::new(&grid, &solver).energy(&fields, &pairs);
@@ -441,17 +463,13 @@ fn public_wrappers_match_pinned_default_engine() {
 fn incremental_eps0_k_bit_identical_per_level() {
     let (basis, c_occ, nocc, grid, solver) = h2_setup();
     for simd in available_levels() {
-        let choice = KernelChoice {
-            path: PairPath::Single,
-            simd,
-        };
         let reference = ExchangeEngine::builder(&grid, &solver)
-            .kernel_choice(choice)
+            .simd(simd)
             .build()
             .unwrap()
             .k_operator(&basis, &c_occ, nocc, 0.0);
         let mut inc = IncrementalExchange::new(0.0, 0);
-        inc.force_kernel_choice(choice);
+        inc.force_simd(simd);
         let (k_inc, ev, sk, stats) =
             inc.exchange_operator(&basis, &c_occ, nocc, &grid, &solver, 0.0);
         assert_eq!(ev, reference.evaluated);
@@ -471,11 +489,11 @@ fn simd_level_never_changes_physics() {
     // other (different summation orders), but they must agree to numerical
     // round-off — the levels change instruction schedules, not physics.
     let (grid, solver, fields, _infos, pairs) = synthetic_setup(4, 20);
-    let energies: Vec<f64> = kernel_choices()
-        .iter()
-        .map(|&c| {
+    let energies: Vec<f64> = available_levels()
+        .into_iter()
+        .map(|level| {
             ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(c)
+                .simd(level)
                 .build()
                 .unwrap()
                 .energy(&fields, &pairs)
@@ -486,7 +504,7 @@ fn simd_level_never_changes_physics() {
         let rel = (e - energies[0]).abs() / energies[0].abs();
         assert!(
             rel < 1e-12,
-            "choice #{i} drifted: {e} vs {} ({rel:e})",
+            "level #{i} drifted: {e} vs {} ({rel:e})",
             energies[0]
         );
     }
@@ -522,13 +540,6 @@ fn comm_backend_reports_gather_volume() {
 #[test]
 fn builder_rejects_inconsistent_configuration() {
     let (grid, solver, _fields, _infos, _pairs) = synthetic_setup(2, 12);
-    let choice = kernel_choices()[0];
-    // kernel_choice + pair_path double-pins the path.
-    let err = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
-        .pair_path(PairPath::Single)
-        .build();
-    assert!(err.is_err());
     // Zero ranks is meaningless.
     let err = ExchangeEngine::builder(&grid, &solver)
         .backend(ExecBackend::Comm {

@@ -8,6 +8,10 @@
 //!   `eps_inc`: loosening the tolerance can only enlarge the reused set,
 //!   and every reused pair contributes an error of the same sign here by
 //!   construction.
+//! * a rebuild that reuses the pairs of bitwise-unchanged orbitals and
+//!   recomputes the rest matches a from-scratch build to rounding
+//!   (1e-12 relative), though not bitwise: the dirty recompute packs its
+//!   pairs with different chunk partners than the full list does.
 
 use liair_basis::{systems, Basis, Cell};
 use liair_core::screening::{build_pair_list, OrbitalInfo};
@@ -155,5 +159,65 @@ proptest! {
         // The loosest tolerance must actually have reused something, or
         // the property is vacuous.
         prop_assert!(prev_reused > 0, "sweep never reused a pair");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Partial reuse with no tolerance error. `eps_inc = 0` forces a full
+    /// build, so the smallest positive tolerance is the closest setting
+    /// that reuses anything: exactly the orbitals whose fingerprints did
+    /// not move. Perturb a strict, non-empty subset of the orbitals; the
+    /// reused pairs then carry the bits of an identical input, and the
+    /// only difference from a from-scratch build is the chunk partner of
+    /// each recomputed pair and the summation order.
+    #[test]
+    fn partial_reuse_matches_from_scratch_to_rounding(
+        seed in 0u64..100,
+        mask in 1u32..15,
+    ) {
+        let grid = RealGrid::cubic(Cell::cubic(12.0), 16);
+        let solver = PoissonSolver::isolated(grid);
+        let mut rng = liair_math::rng::SplitMix64::new(seed);
+        let centers: Vec<liair_math::Vec3> = (0..4)
+            .map(|_| {
+                liair_math::Vec3::new(
+                    rng.range_f64(4.0, 8.0),
+                    rng.range_f64(4.0, 8.0),
+                    rng.range_f64(4.0, 8.0),
+                )
+            })
+            .collect();
+        let base: Vec<Vec<f64>> = centers.iter().map(|&c| gaussian_field(&grid, c, 1.0)).collect();
+        let infos: Vec<OrbitalInfo> = centers
+            .iter()
+            .map(|&c| OrbitalInfo { center: c, spread: 1.0 })
+            .collect();
+        let pairs = build_pair_list(&infos, 0.0, None);
+        // Bit j of `mask` perturbs orbital j; 1..15 leaves at least one
+        // orbital untouched and moves at least one.
+        let moved: Vec<Vec<f64>> = base
+            .iter()
+            .enumerate()
+            .map(|(j, f)| {
+                let g = if mask & (1 << j) != 0 { 1.01 } else { 1.0 };
+                f.iter().map(|v| g * v).collect()
+            })
+            .collect();
+        let exact = liair_core::exchange_energy(&grid, &solver, &moved, &pairs).energy;
+
+        let mut inc = IncrementalExchange::new(f64::MIN_POSITIVE, 0);
+        inc.exchange_energy(&grid, &solver, &base, &infos, &pairs);
+        let r = inc.exchange_energy(&grid, &solver, &moved, &infos, &pairs);
+        prop_assert!(r.inc.pairs_reused > 0, "nothing reused (mask {:#b})", mask);
+        prop_assert!(r.inc.pairs_recomputed > 0, "nothing recomputed (mask {:#b})", mask);
+        prop_assert_eq!(r.inc.pairs_reused + r.inc.pairs_recomputed, pairs.len());
+        let rel = (r.energy - exact).abs() / exact.abs();
+        prop_assert!(
+            rel <= 1e-12,
+            "partial reuse drifted {:e} relative (mask {:#b}): {} vs {}",
+            rel, mask, r.energy, exact
+        );
     }
 }

@@ -3,8 +3,11 @@
 //! canonical merge — [`build_pair_list_sharded`]) and one built by the
 //! real SPMD halo-exchange protocol ([`sharded_pair_list_spmd`]) must
 //! drive the [`ExchangeEngine`] to **bit-identical** energies and K
-//! matrices against the global O(N²) list, on every execution backend and
-//! kernel choice — and under injected message faults. The sharded source
+//! matrices against the global O(N²) list, on every execution backend
+//! (both exec/reduce schedules of the distributed one) and SIMD level —
+//! and under injected message faults. The energy fixtures come in an even
+//! and an odd pair count, so both the packed two-pair kernel and the r2c
+//! single of an odd tail stay under the guarantee. The sharded source
 //! reassembles the canonical (i, j) pair order exactly, so the engine
 //! cannot tell the lists apart; these tests pin that guarantee at the
 //! energy level, not just the list level.
@@ -13,7 +16,7 @@ use liair_basis::{Basis, Cell};
 use liair_core::screening::{build_pair_list, OrbitalInfo, PairList};
 use liair_core::{
     build_pair_list_sharded, sharded_pair_list_spmd, BalanceStrategy, CollectiveMode,
-    ExchangeEngine, ExecBackend, FaultPlan, KernelChoice, PairPath,
+    ExchangeEngine, ExecBackend, FaultPlan, PipelineMode,
 };
 use liair_grid::{PoissonSolver, RealGrid};
 use liair_math::rng::SplitMix64;
@@ -89,16 +92,20 @@ fn assert_same_list(a: &PairList, b: &PairList, what: &str) {
     }
 }
 
+/// Orbital counts whose screened lists have an even and an odd length;
+/// the test asserts the parity on the fixture itself.
+const EVEN_ODD_NORB: [usize; 2] = [4, 5];
+
 #[test]
 fn sharded_energy_bit_identical_across_backends() {
-    let (grid, solver, fields, global, sharded, spmd) = setup(4, 20, [2, 2, 2]);
-    assert_same_list(&global, &sharded, "sharded");
-    assert_same_list(&global, &spmd, "spmd");
-    for simd in available_levels() {
-        for path in [PairPath::Single, PairPath::Batched] {
-            let choice = KernelChoice { path, simd };
+    for (norb, parity) in EVEN_ODD_NORB.into_iter().zip([0, 1]) {
+        let (grid, solver, fields, global, sharded, spmd) = setup(norb, 20, [2, 2, 2]);
+        assert_eq!(global.len() % 2, parity, "fixture parity drifted");
+        assert_same_list(&global, &sharded, "sharded");
+        assert_same_list(&global, &spmd, "spmd");
+        for simd in available_levels() {
             let base = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(choice)
+                .simd(simd)
                 .no_faults();
             let reference = base
                 .backend(ExecBackend::Serial)
@@ -115,7 +122,7 @@ fn sharded_energy_bit_identical_across_backends() {
                 assert_eq!(
                     reference.energy.to_bits(),
                     serial.energy.to_bits(),
-                    "{what} serial differs for {choice:?}"
+                    "{what} serial differs at {simd:?}"
                 );
                 let rayon = base
                     .backend(ExecBackend::Rayon)
@@ -125,23 +132,26 @@ fn sharded_energy_bit_identical_across_backends() {
                 assert_eq!(
                     reference.energy.to_bits(),
                     rayon.energy.to_bits(),
-                    "{what} rayon differs for {choice:?}"
+                    "{what} rayon differs at {simd:?}"
                 );
                 for mode in [CollectiveMode::Flat, CollectiveMode::Hierarchical] {
-                    let comm = base
-                        .backend(ExecBackend::Comm {
-                            nranks: 3,
-                            strategy: BalanceStrategy::GreedyLpt,
-                        })
-                        .collectives(mode)
-                        .build()
-                        .unwrap()
-                        .energy(&fields, list);
-                    assert_eq!(
-                        reference.energy.to_bits(),
-                        comm.energy.to_bits(),
-                        "{what} comm({mode:?}) differs for {choice:?}"
-                    );
+                    for pipeline in [PipelineMode::Staged, PipelineMode::Pipelined] {
+                        let comm = base
+                            .backend(ExecBackend::Comm {
+                                nranks: 3,
+                                strategy: BalanceStrategy::GreedyLpt,
+                            })
+                            .collectives(mode)
+                            .pipeline(pipeline)
+                            .build()
+                            .unwrap()
+                            .energy(&fields, list);
+                        assert_eq!(
+                            reference.energy.to_bits(),
+                            comm.energy.to_bits(),
+                            "{what} comm({mode:?}, {pipeline:?}) differs at {simd:?}"
+                        );
+                    }
                 }
             }
         }
@@ -155,12 +165,9 @@ fn sharded_energy_bit_identical_under_injected_faults() {
     // an identical task list, so not one bit may move.
     let (grid, solver, fields, global, sharded, _spmd) = setup(4, 16, [3, 2, 1]);
     assert_same_list(&global, &sharded, "sharded");
-    let choice = KernelChoice {
-        path: PairPath::Single,
-        simd: available_levels()[0],
-    };
+    let level = available_levels()[0];
     let clean = ExchangeEngine::builder(&grid, &solver)
-        .kernel_choice(choice)
+        .simd(level)
         .no_faults()
         .backend(ExecBackend::Serial)
         .build()
@@ -169,7 +176,7 @@ fn sharded_energy_bit_identical_under_injected_faults() {
     for seed in [7u64, 42] {
         for plan in [FaultPlan::messages_only(seed), FaultPlan::with_stalls(seed)] {
             let faulty = ExchangeEngine::builder(&grid, &solver)
-                .kernel_choice(choice)
+                .simd(level)
                 .backend(ExecBackend::Comm {
                     nranks: 4,
                     strategy: BalanceStrategy::GreedyLpt,

@@ -17,8 +17,9 @@
 //! Dispatch is per *call* through [`SimdLevel`]: [`level()`] resolves the
 //! process-wide default once (hardware detection + the `LIAIR_SIMD`
 //! override), and every primitive has a `*_with` form taking an explicit
-//! level so callers like the `liair-core` pair-path autotuner can pick
-//! scalar vs SIMD per grid shape.
+//! level, so a caller such as the `liair-core` exchange engine can run a
+//! level pinned through its builder and tests can sweep every level in
+//! one process.
 //!
 //! ## Numerical contract
 //!

@@ -41,7 +41,7 @@ use liair_math::Vec3;
 use std::time::Instant;
 
 /// Multiple-time-stepping controls (carried on
-/// [`MdOptions`](crate::MdOptions)).
+/// [`MdOptions`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MtsOptions {
     /// Inner (fast-force) steps per outer (slow-correction) step. `1`

@@ -24,7 +24,7 @@
 //!   bit-exact path.
 //!
 //! Faults (dropped / delayed / duplicated messages, stalled ranks) are
-//! injected deterministically by [`FaultInjector`](crate::FaultInjector);
+//! injected deterministically by [`FaultInjector`];
 //! the transport recovers via sequence-deduplicated retransmission with
 //! exponential backoff. See [`crate::fault`].
 

@@ -206,7 +206,9 @@ pub struct SolventVerdict {
     pub li_o_coordination: Option<f64>,
     /// Mean first-peak radius of the Li–O RDF (Bohr).
     pub rdf_peak_r: Option<f64>,
-    /// The ranking key — see [`SolventVerdict::score`].
+    /// The ranking key: `E_int` in mHa, plus a small HOMO–LUMO-gap
+    /// bonus, minus a dominant penalty per bond scission. Higher is more
+    /// stable.
     pub stability_score: f64,
 }
 

@@ -280,52 +280,6 @@ impl JobSpec {
     pub fn builder(kind: JobKind) -> JobBuilder {
         JobBuilder::new(kind)
     }
-
-    /// A minimal spec: priority 0, one rank, default seeds, no
-    /// disruption.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use the typed builders (`JobSpec::scf`, `JobSpec::md`, \
-                `JobSpec::screening`, …) or `JobSpec::builder(kind)`"
-    )]
-    pub fn new(tenant: &str, kind: JobKind) -> JobSpec {
-        JobSpec {
-            tenant: tenant.to_string(),
-            kind,
-            priority: 0,
-            nranks: 1,
-            seeds: SeedConfig::default(),
-            disruption: Disruption::None,
-        }
-    }
-
-    /// Builder-style priority override.
-    #[deprecated(since = "0.10.0", note = "use `JobBuilder::priority`")]
-    pub fn with_priority(mut self, priority: u32) -> JobSpec {
-        self.priority = priority;
-        self
-    }
-
-    /// Builder-style rank-request override.
-    #[deprecated(since = "0.10.0", note = "use `JobBuilder::nranks`")]
-    pub fn with_nranks(mut self, nranks: usize) -> JobSpec {
-        self.nranks = nranks;
-        self
-    }
-
-    /// Builder-style seed-config override.
-    #[deprecated(since = "0.10.0", note = "use `JobBuilder::seeds`")]
-    pub fn with_seeds(mut self, seeds: SeedConfig) -> JobSpec {
-        self.seeds = seeds;
-        self
-    }
-
-    /// Builder-style disruption override.
-    #[deprecated(since = "0.10.0", note = "use `JobBuilder::disruption`")]
-    pub fn with_disruption(mut self, disruption: Disruption) -> JobSpec {
-        self.disruption = disruption;
-        self
-    }
 }
 
 /// Validating builder behind the typed [`JobSpec`] entry points.
@@ -645,33 +599,6 @@ mod tests {
             }
             other => panic!("wrong kind: {other:?}"),
         }
-    }
-
-    /// The deprecated constructors must keep producing specs identical
-    /// to the builder's for one release.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_builder() {
-        let old = JobSpec::new(
-            "acme",
-            JobKind::Scf {
-                system: ScfSystem::LiH,
-                incremental_fock: false,
-            },
-        )
-        .with_priority(3)
-        .with_nranks(2)
-        .with_seeds(SeedConfig::default().with_md_seed(7))
-        .with_disruption(Disruption::Fault { at_step: 1 });
-        let new = JobSpec::scf(ScfSystem::LiH)
-            .tenant("acme")
-            .priority(3)
-            .nranks(2)
-            .seeds(SeedConfig::default().with_md_seed(7))
-            .disruption(Disruption::Fault { at_step: 1 })
-            .build()
-            .unwrap();
-        assert_eq!(old, new);
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! * [`service`] — the scheduler loop: admission → queue → rank-pool
 //!   lease → worker threads, with the shared cross-job
 //!   [`ExchangeCachePool`](liair_core::ExchangeCachePool) and the final
-//!   [`ServiceReport`](service::ServiceReport);
+//!   [`ServiceReport`];
 //! * [`campaign`] — the solvent-screening campaign driver: a
-//!   [`CampaignSpec`](campaign::CampaignSpec) grid (solvents ×
-//!   concentrations × seeds × functionals) fanned across the service,
-//!   aggregated into a deterministic ranked stability report.
+//!   [`CampaignSpec`] grid (solvents × concentrations × seeds ×
+//!   functionals) fanned across the service, aggregated into a
+//!   deterministic ranked stability report.
 //!
 //! See DESIGN.md ("The serve layer" and "The campaign layer") for the
 //! architecture and the cache keying/eviction policy.

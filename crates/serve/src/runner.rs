@@ -125,8 +125,8 @@ pub struct Observables {
     pub rdf_li_o_peak_r: Option<f64>,
     /// Solvation jobs: height of the first Li–O RDF peak.
     pub rdf_li_o_peak_g: Option<f64>,
-    /// Solvation jobs: mean Li–O coordination number within
-    /// [`RDF_COORD_CUT`] Bohr.
+    /// Solvation jobs: mean Li–O coordination number within 5 Bohr
+    /// (`RDF_COORD_CUT`).
     pub li_o_coordination: Option<f64>,
     /// Solvation jobs: distinct solvent-internal bonds broken.
     pub bonds_broken: Option<usize>,
